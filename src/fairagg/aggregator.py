@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, InvalidDimensionError
+from .errors import DomainError, InvalidDimensionError, NumericalFailureError
 from .simplex import project_generalized, uniform_decision
 
 logger = logging.getLogger(__name__)
@@ -208,7 +208,9 @@ def aaggff_s_step(
         iv = state.inv @ g
         denom = 1.0 + state.beta * float(g @ iv)
         if denom <= 0.0:
-            raise AssertionError("positive definiteness lost; alpha > 0 forbids this")
+            raise NumericalFailureError(
+                "positive definiteness lost in the rank-1 inverse update"
+            )
         inv = state.inv - (state.beta / denom) * np.outer(iv, iv)
 
     unconstrained = inv @ (rhs - grad_sum)

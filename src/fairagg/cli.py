@@ -518,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output", default=None, help="output directory override")
     p_run.add_argument("--seeds", default=None, help="comma-separated seed list override")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="client-update worker threads (never affects results)")
+                       help="accepted for compatibility; clients run serially and "
+                            "the value never affects results")
     p_run.set_defaults(handler=cmd_run)
 
     p_bench = sub.add_parser("regret-bench",

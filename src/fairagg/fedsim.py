@@ -4,15 +4,19 @@ One round: sample clients, collect feedback losses on the broadcast model,
 train locally, turn feedbacks into bounded responses, step the aggregator,
 renormalize the decision over the sampled set, mix the deltas, and apply the
 server optimizer.  The master seed fans out to per-round and per-client
-substreams through seed sequences, so results never depend on thread count
-or client execution order; deltas are always reduced in ascending client id.
+substreams through seed sequences, so results never depend on client
+execution order; deltas are always reduced in ascending client id.  Clients
+run serially; the ``threads`` setting is accepted for compatibility and never
+affects results.
+
+The client shards live in one pooled dataset, concatenated in ascending
+client id, so each round scores every client with a single prediction pass.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,13 +232,30 @@ class SimulationState:
     prox_mu: float
     weight_decay: float
     server_opt: ServerOptimizer
-    threads: int = 1
+    threads: int = 1  # accepted for compatibility; clients run serially
     decision: np.ndarray = field(default=None)  # type: ignore[assignment]
     ons: OnsState | None = None
     ftrl: FtrlState | None = None
+    # Every client's rows in ascending client id, and the client of each row.
+    pool: Dataset = field(init=False)
+    owner: np.ndarray = field(init=False)
 
     def __post_init__(self):
         k = len(self.clients)
+        sizes = [len(shard) for shard in self.clients]
+        if not sizes or 0 in sizes:
+            raise InvalidDimensionError("need at least one client, each with a sample")
+        self.pool = Dataset(
+            np.concatenate([shard.features for shard in self.clients]),
+            np.concatenate([shard.labels for shard in self.clients]),
+        )
+        self.owner = np.repeat(np.arange(k), sizes)
+        # Rebind each client to a slice of the pool (a view, not a copy) so
+        # the rows are held once.
+        ends = np.cumsum(sizes)
+        self.clients = [
+            self.pool.subset(slice(end - size, end)) for end, size in zip(ends, sizes)
+        ]
         if self.decision is None:
             self.decision = uniform_decision(k)
         constants = lipschitz_constants(self.bounds, self.sampling_c)
@@ -259,40 +280,29 @@ def _run_clients(
     state: SimulationState, t: int, sampled: list[int]
 ) -> list[ClientUpdateResult]:
     lr_t = _effective_lr(state, t)
-
-    def one(client_id: int) -> ClientUpdateResult:
+    results: list[ClientUpdateResult] = []
+    for client_id in sampled:
         rng = np.random.default_rng(
             np.random.SeedSequence([state.master_seed, _STREAM_CLIENT, t, client_id])
         )
-        return client_update(
-            state.params,
-            state.clients[client_id],
-            state.model_spec,
-            epochs=state.epochs,
-            batch_size=state.batch_size,
-            lr=lr_t,
-            prox_mu=state.prox_mu,
-            weight_decay=state.weight_decay,
-            rng=rng,
-            client_id=client_id,
-            round_index=t,
-        )
-
-    results: list[ClientUpdateResult] = []
-    if state.threads > 1:
-        with ThreadPoolExecutor(max_workers=state.threads) as pool:
-            futures = {pool.submit(one, i): i for i in sampled}
-            for future, client_id in futures.items():
-                try:
-                    results.append(future.result())
-                except DivergenceError:
-                    logger.warning("dropping diverged client %d in round %d", client_id, t)
-    else:
-        for client_id in sampled:
-            try:
-                results.append(one(client_id))
-            except DivergenceError:
-                logger.warning("dropping diverged client %d in round %d", client_id, t)
+        try:
+            results.append(
+                client_update(
+                    state.params,
+                    state.clients[client_id],
+                    state.model_spec,
+                    epochs=state.epochs,
+                    batch_size=state.batch_size,
+                    lr=lr_t,
+                    prox_mu=state.prox_mu,
+                    weight_decay=state.weight_decay,
+                    rng=rng,
+                    client_id=client_id,
+                    round_index=t,
+                )
+            )
+        except DivergenceError:
+            logger.warning("dropping diverged client %d in round %d", client_id, t)
 
     # Ascending client id fixes the floating-point reduction order.
     results.sort(key=lambda r: r.client_id)
@@ -361,9 +371,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     state.params = server_apply(state.params, mixed_delta, state.server_opt)
     state.decision = new_decision
 
-    client_accuracy = np.array(
-        [accuracy(state.model_spec, state.params, shard) for shard in state.clients]
-    )
+    client_accuracy = accuracy(state.model_spec, state.params, state.pool, state.owner)
     return RoundReport(
         round=t,
         sampled_ids=survivors,

@@ -65,8 +65,9 @@ def cumulative_regret(
     """Cumulative decision loss above the best fixed decision in hindsight.
 
     The hindsight optimum minimizes the summed per-round losses over the
-    simplex; it is recomputed here with the shared solver, so the reported
-    regret is nonnegative up to the solver tolerance.
+    simplex; it is recomputed here with the shared solver.  The regret can
+    be negative: a decision sequence that moves with the responses can beat
+    every fixed decision.
     """
     decisions = [np.asarray(p, dtype=float) for p in decisions]
     responses = [np.asarray(r, dtype=float) for r in responses]

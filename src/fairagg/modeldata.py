@@ -297,8 +297,20 @@ def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.nda
     return np.argmax(act @ w2.T + b2, axis=1).astype(np.int64)
 
 
-def accuracy(spec: ModelSpec, params: np.ndarray, data: Dataset) -> float:
-    return float((predict(spec, params, data.features) == data.labels).mean())
+def accuracy(
+    spec: ModelSpec, params: np.ndarray, data: Dataset, owner: np.ndarray | None = None
+) -> float | np.ndarray:
+    """Fraction of rows predicted correctly.
+
+    With ``owner`` (one group index per row) it returns the fraction within
+    each group 0..max(owner) instead, from a single prediction pass.  The
+    correct count per group is an exact float and the division is the one
+    ``mean`` makes, so each entry equals the scalar form on that group alone.
+    """
+    correct = predict(spec, params, data.features) == data.labels
+    if owner is None:
+        return float(correct.mean())
+    return np.bincount(owner, weights=correct) / np.bincount(owner)
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:

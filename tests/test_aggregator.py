@@ -7,6 +7,7 @@ against grid-search and closed-form argmin oracles rebuilt from raw history.
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from fairagg.aggregator import (
 )
 from fairagg.cli import unify_instance
 from fairagg.decision import decision_grad, dr_response, linearized_grad, lipschitz_constants
-from fairagg.errors import DomainError, InvalidDimensionError
+from fairagg.errors import DomainError, InvalidDimensionError, NumericalFailureError
 from fairagg.metrics import cumulative_regret
 from fairagg.response import ResponseBounds, ResponseVector
 from fairagg.simplex import kkt_residual, minimize_over_simplex, uniform_decision
@@ -242,6 +243,14 @@ def test_ons_rejects_mismatched_gradient():
     state = ons_init(3, 0.5)
     with pytest.raises(InvalidDimensionError):
         aaggff_s_step(state, np.zeros(2))
+
+
+def test_ons_lost_positive_definiteness_is_a_numerical_failure():
+    # A negative definite tracked inverse drives the rank-1 denominator
+    # 1 + beta * g^T inv g below zero.
+    state = replace(ons_init(3, 0.5), inv=-np.eye(3))
+    with pytest.raises(NumericalFailureError, match="positive definiteness"):
+        aaggff_s_step(state, -np.ones(3))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from fairagg.fedsim import (
     sample_clients,
     server_apply,
 )
-from fairagg.modeldata import Dataset, ModelKind, ModelSpec, make_synthetic, partition, PartitionScheme, PartitionSpec
+from fairagg.metrics import performance_summary
+from fairagg.modeldata import Dataset, ModelKind, ModelSpec, accuracy, make_synthetic, partition, PartitionScheme, PartitionSpec
 from fairagg.response import CdfFamily, CdfKind, ResponseBounds
 
 BINARY = ModelSpec(ModelKind.LOGISTIC, input_dim=2, num_classes=2)
@@ -358,6 +359,44 @@ def test_thread_count_never_changes_results():
         assert ra.sampled_ids == rb.sampled_ids
         assert ra.decision_loss == rb.decision_loss
         np.testing.assert_array_equal(ra.decision, rb.decision)
+
+
+def dirichlet_shards(k=50, n=1000, seed=3):
+    data = make_synthetic(n, 2, 2, seed=seed)
+    return partition(data, PartitionSpec(PartitionScheme.DIRICHLET, k=k, seed=seed, alpha=0.1))
+
+
+def test_clients_are_views_of_the_pool_in_client_order():
+    shards = dirichlet_shards()
+    state = make_state(MethodKind.AAGGFF_D, shards, sampling_c=0.2)
+    for client in state.clients:
+        assert np.shares_memory(client.features, state.pool.features)
+        assert np.shares_memory(client.labels, state.pool.labels)
+    np.testing.assert_array_equal(
+        state.pool.features, np.concatenate([s.features for s in shards])
+    )
+    np.testing.assert_array_equal(state.pool.labels, np.concatenate([s.labels for s in shards]))
+    np.testing.assert_array_equal(
+        state.owner, np.repeat(np.arange(len(shards)), [len(s) for s in shards])
+    )
+    for client, shard in zip(state.clients, shards):
+        np.testing.assert_array_equal(client.features, shard.features)
+        np.testing.assert_array_equal(client.labels, shard.labels)
+
+
+def test_pooled_evaluation_matches_the_per_shard_loop():
+    shards = dirichlet_shards()
+    state = make_state(MethodKind.AAGGFF_D, shards, sampling_c=0.2)
+    for t in range(4):
+        report = run_round(state, t)
+        per_shard = np.array([accuracy(BINARY, state.params, s) for s in shards])
+        assert report.summary == performance_summary(per_shard)
+
+
+def test_clients_without_samples_are_rejected():
+    empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(InvalidDimensionError):
+        make_state(MethodKind.STATIC, shards_for(2) + [empty])
 
 
 def test_adaptive_methods_initialize_their_state():

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairagg.errors import DomainError, InvalidDimensionError, NumericalFailureError
 from fairagg.modeldata import (
@@ -213,6 +215,32 @@ def test_predictions_follow_the_decision_boundary():
     np.testing.assert_array_equal(out, [1, 0])
     data = Dataset(features, np.array([1, 1], dtype=np.int64))
     assert accuracy(BINARY, np.array([1.0, 0.0, 0.0]), data) == 0.5
+
+
+# Shard sizes mix single rows, small shards and large ones, so splits are
+# often very unequal.
+shard_sizes = st.lists(
+    st.one_of(st.just(1), st.integers(1, 6), st.integers(60, 400)), min_size=1, max_size=12
+)
+
+
+@settings(deadline=None)
+@given(shard_sizes, st.sampled_from([BINARY, MULTI, MLP]), st.integers(0, 2**32 - 1))
+def test_grouped_accuracy_equals_per_shard_accuracy(sizes, spec, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    pooled = Dataset(
+        2.0 * rng.standard_normal((n, spec.input_dim)),
+        rng.integers(0, spec.num_classes, size=n),
+    )
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    params = rng.standard_normal(spec.param_length)
+    ends = np.cumsum(sizes)
+    shards = [pooled.subset(np.arange(end - size, end)) for end, size in zip(ends, sizes)]
+
+    grouped = accuracy(spec, params, pooled, owner)
+    assert grouped.shape == (len(sizes),)
+    assert grouped.tolist() == [accuracy(spec, params, shard) for shard in shards]
 
 
 def test_init_params_deterministic_and_small():
