@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregator import (
+    BASELINE_KINDS,
     AggregatorMethod,
     MethodKind,
     aaggff_d_step,
@@ -462,13 +463,7 @@ def unify_instance(
 def cmd_unify_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 11]))
     ok = True
-    for kind in (
-        MethodKind.STATIC,
-        MethodKind.AFL,
-        MethodKind.QFEDAVG,
-        MethodKind.TERM,
-        MethodKind.PROPFAIR,
-    ):
+    for kind in BASELINE_KINDS:
         worst = 0.0
         for _ in range(args.instances):
             method, sizes, losses, response, step = unify_instance(kind, rng)
@@ -518,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output", default=None, help="output directory override")
     p_run.add_argument("--seeds", default=None, help="comma-separated seed list override")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; clients run serially and "
+                       help="accepted for compatibility; clients train in one thread and "
                             "the value never affects results")
     p_run.set_defaults(handler=cmd_run)
 

@@ -5,9 +5,13 @@ train locally, turn feedbacks into bounded responses, step the aggregator,
 renormalize the decision over the sampled set, mix the deltas, and apply the
 server optimizer.  The master seed fans out to per-round and per-client
 substreams through seed sequences, so results never depend on client
-execution order; deltas are always reduced in ascending client id.  Clients
-run serially; the ``threads`` setting is accepted for compatibility and never
-affects results.
+execution order; deltas are always reduced in ascending client id.  The
+``threads`` setting is accepted for compatibility and never affects results.
+
+The sampled clients train together: their feedback is one grouped loss and
+each local SGD step is one stacked gradient pass over every still-training
+client's minibatch.  A client that diverges is dropped from the round with a
+warning; the round fails only when every sampled client diverged.
 
 The client shards live in one pooled dataset, concatenated in ascending
 client id, so each round scores every client with a single prediction pass.
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregator import (
+    BASELINE_KINDS,
     AggregatorMethod,
     FtrlState,
     MethodKind,
@@ -42,7 +47,14 @@ from .decision import (
 )
 from .errors import DivergenceError, DomainError, InvalidDimensionError
 from .metrics import PerformanceSummary, performance_summary
-from .modeldata import Dataset, ModelSpec, accuracy, epoch_batches, loss_and_grad
+from .modeldata import (
+    Dataset,
+    ModelSpec,
+    accuracy,
+    epoch_batches,
+    group_loss,
+    loss_and_grad,
+)
 from .response import CdfKind, ResponseBounds, ResponseVector, transform_losses
 from .simplex import uniform_decision
 
@@ -94,81 +106,118 @@ class ServerOptimizer:
             raise DomainError("beta1 and beta2 must lie in [0, 1)")
 
 
-def sample_clients(k: int, c: float, rng: np.random.Generator) -> list[int]:
-    """Uniform sample (without replacement) of max(1, floor(c*k)) client ids."""
+def sample_size(k: int, c: float) -> int:
+    """Clients sampled per round: max(1, floor(c*k)) of k."""
     if k < 1:
         raise InvalidDimensionError("need at least one client")
     if not (0.0 < c <= 1.0):
         raise DomainError(f"sampling fraction must be in (0,1], got {c}")
-    size = max(1, int(np.floor(c * k)))
-    chosen = rng.choice(k, size=size, replace=False)
+    return max(1, int(np.floor(c * k)))
+
+
+def sample_clients(k: int, c: float, rng: np.random.Generator) -> list[int]:
+    """Uniform sample (without replacement) of sample_size(k, c) client ids."""
+    chosen = rng.choice(k, size=sample_size(k, c), replace=False)
     return sorted(int(i) for i in chosen)
 
 
 def client_update(
     params: np.ndarray,
-    data: Dataset,
+    shards: list[Dataset],
     model_spec: ModelSpec,
+    *,
     epochs: int,
     batch_size: int,
     lr: float,
     prox_mu: float,
     weight_decay: float,
-    rng: np.random.Generator,
-    client_id: int = -1,
+    rngs: list[np.random.Generator],
+    client_ids: list[int],
     round_index: int = -1,
-) -> ClientUpdateResult:
-    """Evaluate feedback on the received model, then run local SGD.
+) -> tuple[list[ClientUpdateResult], list[DivergenceError]]:
+    """Evaluate feedback on the received model, then run local SGD, for
+    every client at once.
 
-    Feedback is measured strictly before any training step.  Each epoch
-    shuffles the shard and walks it in minibatches; with prox_mu > 0 every
-    step pulls back toward the received parameters.
+    Feedback is measured strictly before any training step, as one grouped
+    loss over all the clients' rows.  Each client shuffles its own shard with
+    its own generator every epoch and walks it in minibatches; SGD step s
+    moves every client that still has an s-th minibatch, with one
+    ``loss_and_grad`` call over those minibatches stacked together.  With
+    prox_mu > 0 every step pulls back toward the received parameters.
+
+    A client whose feedback, loss, gradient or parameters become non-finite
+    stops training and is reported in the second list instead of the first;
+    nothing is raised.  Results keep the order of ``client_ids``.
     """
-    if len(data) == 0:
+    sizes = [len(shard) for shard in shards]
+    if 0 in sizes:
         raise InvalidDimensionError("client dataset must be nonempty")
     received = np.asarray(params, dtype=float)
+    data = Dataset(
+        np.concatenate([shard.features for shard in shards]),
+        np.concatenate([shard.labels for shard in shards]),
+    )
+    offsets = np.cumsum(sizes) - sizes
+    # Row indices into ``data`` of every client's minibatches, in step order.
+    schedules = [
+        [batch + offset for _ in range(epochs) for batch in epoch_batches(size, batch_size, rng)]
+        for size, offset, rng in zip(sizes, offsets, rngs)
+    ]
+    steps = np.array([len(batches) for batches in schedules])
+    local = np.tile(received, (len(shards), 1))
+    diverged = np.zeros(len(shards), dtype=bool)
 
     # Overflow here is an expected, handled outcome (the client gets
     # dropped), so suppress the elementwise warnings instead of spewing them.
     with np.errstate(over="ignore", invalid="ignore"):
-        feedback, _ = loss_and_grad(model_spec, received, data)
-        if not np.isfinite(feedback):
-            raise DivergenceError(
-                f"non-finite feedback loss on client {client_id}",
-                round_index=round_index,
-                client_id=client_id,
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        feedback = group_loss(model_spec, received, data, owner)
+        diverged |= ~np.isfinite(feedback)
+        for step in range(steps.max()):
+            movers = np.flatnonzero((steps > step) & ~diverged)
+            if movers.size == 0:
+                break
+            batches = [schedules[j][step] for j in movers]
+            owner = np.repeat(np.arange(movers.size), [len(b) for b in batches])
+            current = local[movers]
+            loss, grad = loss_and_grad(
+                model_spec, current, data.subset(np.concatenate(batches)), owner
             )
+            if prox_mu > 0.0:
+                grad = grad + prox_mu * (current - received)
+            if weight_decay > 0.0:
+                grad = grad + weight_decay * current
+            stepped = current - lr * grad
+            # Overflowed parameters can come with a still-finite loss, so
+            # the new iterate is checked too.
+            ok = (
+                np.isfinite(loss)
+                & np.all(np.isfinite(grad), axis=1)
+                & np.all(np.isfinite(stepped), axis=1)
+            )
+            local[movers[ok]] = stepped[ok]
+            diverged[movers[~ok]] = True
 
-        local = received.copy()
-        for _ in range(epochs):
-            for batch_idx in epoch_batches(len(data), batch_size, rng):
-                loss, grad = loss_and_grad(model_spec, local, data.subset(batch_idx))
-                if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-                    raise DivergenceError(
-                        f"non-finite training loss on client {client_id}",
-                        round_index=round_index,
-                        client_id=client_id,
-                    )
-                if prox_mu > 0.0:
-                    grad = grad + prox_mu * (local - received)
-                if weight_decay > 0.0:
-                    grad = grad + weight_decay * local
-                local = local - lr * grad
-                if not np.all(np.isfinite(local)):
-                    # Overflowed parameters with a still-finite loss; catch
-                    # here so the client is dropped, not the round crashed.
-                    raise DivergenceError(
-                        f"non-finite local parameters on client {client_id}",
-                        round_index=round_index,
-                        client_id=client_id,
-                    )
-
-    return ClientUpdateResult(
-        client_id=client_id,
-        feedback_loss=float(feedback),
-        delta=received - local,
-        sample_count=len(data),
-    )
+    results = [
+        ClientUpdateResult(
+            client_id=client_id,
+            feedback_loss=float(feedback[j]),
+            delta=received - local[j],
+            sample_count=sizes[j],
+        )
+        for j, client_id in enumerate(client_ids)
+        if not diverged[j]
+    ]
+    errors = [
+        DivergenceError(
+            f"non-finite loss or parameters on client {client_id}",
+            round_index=round_index,
+            client_id=client_id,
+        )
+        for j, client_id in enumerate(client_ids)
+        if diverged[j]
+    ]
+    return results, errors
 
 
 def server_apply(
@@ -232,13 +281,15 @@ class SimulationState:
     prox_mu: float
     weight_decay: float
     server_opt: ServerOptimizer
-    threads: int = 1  # accepted for compatibility; clients run serially
+    threads: int = 1  # accepted for compatibility; clients train in one thread
     decision: np.ndarray = field(default=None)  # type: ignore[assignment]
     ons: OnsState | None = None
     ftrl: FtrlState | None = None
     # Every client's rows in ascending client id, and the client of each row.
     pool: Dataset = field(init=False)
     owner: np.ndarray = field(init=False)
+    # Each client's chance of being sampled in a round.
+    propensity: float = field(init=False)
 
     def __post_init__(self):
         k = len(self.clients)
@@ -258,13 +309,14 @@ class SimulationState:
         ]
         if self.decision is None:
             self.decision = uniform_decision(k)
-        constants = lipschitz_constants(self.bounds, self.sampling_c)
+        self.propensity = sample_size(k, self.sampling_c) / k
+        constants = lipschitz_constants(self.bounds, self.propensity)
         if self.method.kind is MethodKind.AAGGFF_S and self.ons is None:
             self.ons = ons_init(k, constants.l_inf)
         if self.method.kind is MethodKind.AAGGFF_D and self.ftrl is None:
             # Bound of the gradient stream actually fed: exact gradients at
             # full participation, doubly-robust ones under sampling.
-            bound = constants.l_inf if self.sampling_c == 1.0 else constants.l_inf_dr
+            bound = constants.l_inf if self.propensity == 1.0 else constants.l_inf_dr
             self.ftrl = ftrl_init(k, bound)
 
     @property
@@ -279,33 +331,28 @@ def _effective_lr(state: SimulationState, t: int) -> float:
 def _run_clients(
     state: SimulationState, t: int, sampled: list[int]
 ) -> list[ClientUpdateResult]:
-    lr_t = _effective_lr(state, t)
-    results: list[ClientUpdateResult] = []
-    for client_id in sampled:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([state.master_seed, _STREAM_CLIENT, t, client_id])
-        )
-        try:
-            results.append(
-                client_update(
-                    state.params,
-                    state.clients[client_id],
-                    state.model_spec,
-                    epochs=state.epochs,
-                    batch_size=state.batch_size,
-                    lr=lr_t,
-                    prox_mu=state.prox_mu,
-                    weight_decay=state.weight_decay,
-                    rng=rng,
-                    client_id=client_id,
-                    round_index=t,
-                )
+    """Train the sampled clients (ascending id, which fixes the reduction
+    order of their deltas) and drop any that diverged."""
+    results, diverged = client_update(
+        state.params,
+        [state.clients[client_id] for client_id in sampled],
+        state.model_spec,
+        epochs=state.epochs,
+        batch_size=state.batch_size,
+        lr=_effective_lr(state, t),
+        prox_mu=state.prox_mu,
+        weight_decay=state.weight_decay,
+        rngs=[
+            np.random.default_rng(
+                np.random.SeedSequence([state.master_seed, _STREAM_CLIENT, t, client_id])
             )
-        except DivergenceError:
-            logger.warning("dropping diverged client %d in round %d", client_id, t)
-
-    # Ascending client id fixes the floating-point reduction order.
-    results.sort(key=lambda r: r.client_id)
+            for client_id in sampled
+        ],
+        client_ids=sampled,
+        round_index=t,
+    )
+    for error in diverged:
+        logger.warning("dropping diverged client %d in round %d", error.client_id, t)
     if not results:
         raise DivergenceError(f"every sampled client diverged in round {t}", round_index=t)
     return results
@@ -336,7 +383,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
 
     if method_kind is MethodKind.AAGGFF_D and not full_participation:
         raw = ResponseVector(values=scattered, observed=observed)
-        r_for_loss = dr_response(raw, state.sampling_c)
+        r_for_loss = dr_response(raw, state.propensity)
         gradient = linearized_grad(r_for_loss, prev_decision, observed_mean)
     else:
         # Mean-impute any unobserved entries; exact vector at full
@@ -345,13 +392,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
         gradient = decision_grad(prev_decision, r_for_loss)
     round_loss = decision_loss(prev_decision, r_for_loss)
 
-    if method_kind in (
-        MethodKind.STATIC,
-        MethodKind.AFL,
-        MethodKind.QFEDAVG,
-        MethodKind.TERM,
-        MethodKind.PROPFAIR,
-    ):
+    if method_kind in BASELINE_KINDS:
         sizes = np.array([r.sample_count for r in results], dtype=float)
         coeffs = baseline_coefficients(state.method, sizes, feedbacks)
         new_decision = np.zeros(k)

@@ -36,12 +36,7 @@ class ModelSpec:
 
     @property
     def param_length(self) -> int:
-        d, l, h = self.input_dim, self.num_classes, self.hidden
-        if self.kind is ModelKind.LOGISTIC:
-            # Binary uses a single logit (weights + bias); multiclass one
-            # logit per class.
-            return d + 1 if l == 2 else l * (d + 1)
-        return h * (d + 1) + l * (h + 1)
+        return sum(rows * (cols + 1) for rows, cols in _layer_shapes(self))
 
 
 class PartitionScheme(enum.Enum):
@@ -203,98 +198,140 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of -|z| never overflows; both branches are the usual stable forms.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _layer_shapes(spec: ModelSpec) -> list[tuple[int, int]]:
+    """(outputs, inputs) of each affine layer, in parameter order.
+
+    Each layer stores its weights row-major, then its biases.  Binary
+    logistic regression is the one-output case: a single logit.
+    """
+    d, l = spec.input_dim, spec.num_classes
+    if spec.kind is ModelKind.LOGISTIC:
+        return [(1 if l == 2 else l, d)]
+    return [(spec.hidden, d), (l, spec.hidden)]
+
+
+def _forward(
+    spec: ModelSpec, params: np.ndarray, x: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Weights of each layer, the input to each layer, and the logits.
+
+    ``params`` is one vector for rows ``x`` of shape ``(n, d)``, or ``(S, P)``
+    with one vector per group for rows ``x`` of shape ``(S, m, d)``.  Hidden
+    layers use the sigmoid.
+    """
+    lead = params.shape[:-1]
+    weights, inputs, start = [], [], 0
+    for i, (rows, cols) in enumerate(_layer_shapes(spec)):
+        w = params[..., start:start + rows * cols].reshape(*lead, rows, cols)
+        start += rows * cols
+        b = params[..., None, start:start + rows]
+        start += rows
+        if i:
+            x = _sigmoid(x)
+        weights.append(w)
+        inputs.append(x)
+        x = x @ np.swapaxes(w, -1, -2) + b
+    return weights, inputs, x
+
+
+def _row_losses(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy of each row and its gradient with respect to the logits."""
+    if logits.shape[-1] == 1:
+        prob = _sigmoid(logits[..., 0])
+        clipped = np.clip(prob, 1e-12, 1.0 - 1e-12)
+        losses = -(y * np.log(clipped) + (1 - y) * np.log(1.0 - clipped))
+        return losses, (prob - y)[..., None]
+    logp = _log_softmax(logits)
+    label = y[..., None]
+    resid = np.exp(logp) - (label == np.arange(logits.shape[-1]))
+    return -np.take_along_axis(logp, label, axis=-1)[..., 0], resid
 
 
 def loss_and_grad(
-    spec: ModelSpec, params: np.ndarray, batch: Dataset
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its exact gradient."""
+    spec: ModelSpec, params: np.ndarray, batch: Dataset, owner: np.ndarray | None = None
+) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy over the batch and its exact gradient.
+
+    With ``owner`` (a nondecreasing group index per row, every group
+    0..S-1 nonempty) ``params`` is ``(S, P)``, one model per group, and the
+    call returns each group's mean loss ``(S,)`` and gradient ``(S, P)``
+    from one pass over the whole batch.  Rows never mix across groups, so a
+    non-finite group leaves the others untouched.
+    """
     params = np.asarray(params, dtype=float)
-    if params.size != spec.param_length:
+    if params.shape[-1:] != (spec.param_length,) or params.ndim != (1 if owner is None else 2):
         raise InvalidDimensionError(
-            f"expected {spec.param_length} parameters, got {params.size}"
+            f"expected {spec.param_length} parameters, got shape {params.shape}"
         )
     if not np.all(np.isfinite(params)):
         raise NumericalFailureError("model parameters are non-finite")
     if len(batch) == 0:
         raise InvalidDimensionError("batch must be nonempty")
 
-    x, y = batch.features, batch.labels
-    n, d = x.shape
-    l = spec.num_classes
+    x, y, counts = batch.features, batch.labels, len(batch)
+    if owner is not None:
+        # Lay the groups out as (S, m) slots, group g's rows first in row g,
+        # so every layer is one batched matmul; padded slots get zero
+        # gradient and zero loss.
+        counts = np.bincount(owner)
+        filled = np.arange(counts.max()) < counts[:, None]
+        x = np.zeros(filled.shape + x.shape[1:])
+        x[filled] = batch.features
+        y = np.zeros(filled.shape, dtype=batch.labels.dtype)
+        y[filled] = batch.labels
 
-    if spec.kind is ModelKind.LOGISTIC and l == 2:
-        w, b = params[:d], params[d]
-        prob = _sigmoid(x @ w + b)
-        eps_clipped = np.clip(prob, 1e-12, 1.0 - 1e-12)
-        loss = -float(np.mean(y * np.log(eps_clipped) + (1 - y) * np.log(1.0 - eps_clipped)))
-        residual = (prob - y) / n
-        grad = np.concatenate([x.T @ residual, [residual.sum()]])
-        return loss, grad
+    weights, inputs, logits = _forward(spec, params, x)
+    losses, delta = _row_losses(logits, y)
+    if owner is None:
+        delta /= counts
+    else:
+        losses = np.where(filled, losses, 0.0)
+        delta = np.where(filled[..., None], delta, 0.0) / counts[:, None, None]
+    grads = []
+    for i in reversed(range(len(weights))):
+        a = inputs[i]
+        grads[:0] = [
+            (np.swapaxes(delta, -1, -2) @ a).reshape(*params.shape[:-1], -1),
+            delta.sum(axis=-2),
+        ]
+        if i:
+            delta = (delta @ weights[i]) * a * (1.0 - a)
+    loss = losses.sum(axis=-1) / counts
+    return (float(loss) if owner is None else loss), np.concatenate(grads, axis=-1)
 
-    if spec.kind is ModelKind.LOGISTIC:
-        w = params[: l * d].reshape(l, d)
-        b = params[l * d:]
-        logp = _log_softmax(x @ w.T + b)
-        loss = -float(logp[np.arange(n), y].mean())
-        resid = np.exp(logp)
-        resid[np.arange(n), y] -= 1.0
-        resid /= n
-        grad = np.concatenate([(resid.T @ x).ravel(), resid.sum(axis=0)])
-        return loss, grad
 
-    # One-hidden-layer MLP with sigmoid activation and softmax output.
-    h = spec.hidden
-    w1 = params[: h * d].reshape(h, d)
-    b1 = params[h * d: h * (d + 1)]
-    w2 = params[h * (d + 1): h * (d + 1) + l * h].reshape(l, h)
-    b2 = params[h * (d + 1) + l * h:]
+def group_loss(
+    spec: ModelSpec, params: np.ndarray, data: Dataset, owner: np.ndarray
+) -> np.ndarray:
+    """Mean cross-entropy of one shared model within each group of rows.
 
-    act = _sigmoid(x @ w1.T + b1)
-    logp = _log_softmax(act @ w2.T + b2)
-    loss = -float(logp[np.arange(n), y].mean())
-
-    resid = np.exp(logp)
-    resid[np.arange(n), y] -= 1.0
-    resid /= n
-    grad_w2 = resid.T @ act
-    grad_b2 = resid.sum(axis=0)
-    back = (resid @ w2) * act * (1.0 - act)
-    grad_w1 = back.T @ x
-    grad_b1 = back.sum(axis=0)
-    grad = np.concatenate([grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2])
-    return loss, grad
+    ``owner`` is a nondecreasing group index per row with every group
+    nonempty.  No gradient is formed.
+    """
+    _, _, logits = _forward(spec, np.asarray(params, dtype=float), data.features)
+    losses, _ = _row_losses(logits, data.labels)
+    counts = np.bincount(owner)
+    return np.add.reduceat(losses, np.cumsum(counts) - counts) / counts
 
 
 def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Class predictions for a feature matrix."""
-    params = np.asarray(params, dtype=float)
-    x = np.asarray(features, dtype=float)
-    d, l = spec.input_dim, spec.num_classes
-    if spec.kind is ModelKind.LOGISTIC and l == 2:
-        return (_sigmoid(x @ params[:d] + params[d]) > 0.5).astype(np.int64)
-    if spec.kind is ModelKind.LOGISTIC:
-        w = params[: l * d].reshape(l, d)
-        b = params[l * d:]
-        return np.argmax(x @ w.T + b, axis=1).astype(np.int64)
-    h = spec.hidden
-    w1 = params[: h * d].reshape(h, d)
-    b1 = params[h * d: h * (d + 1)]
-    w2 = params[h * (d + 1): h * (d + 1) + l * h].reshape(l, h)
-    b2 = params[h * (d + 1) + l * h:]
-    act = _sigmoid(x @ w1.T + b1)
-    return np.argmax(act @ w2.T + b2, axis=1).astype(np.int64)
+    _, _, logits = _forward(
+        spec, np.asarray(params, dtype=float), np.asarray(features, dtype=float)
+    )
+    if logits.shape[1] == 1:
+        return (_sigmoid(logits[:, 0]) > 0.5).astype(np.int64)
+    return np.argmax(logits, axis=1).astype(np.int64)
 
 
 def accuracy(

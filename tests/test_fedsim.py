@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairagg.aggregator import AggregatorMethod, MethodKind, normalize_selected
 from fairagg.errors import DivergenceError, DomainError, InvalidDimensionError
@@ -18,14 +20,18 @@ from fairagg.fedsim import (
     client_update,
     run_round,
     sample_clients,
+    sample_size,
     server_apply,
 )
 from fairagg.metrics import performance_summary
-from fairagg.modeldata import Dataset, ModelKind, ModelSpec, accuracy, make_synthetic, partition, PartitionScheme, PartitionSpec
+from fairagg import fedsim
+from fairagg.decision import dr_response, lipschitz_constants
+from fairagg.modeldata import Dataset, ModelKind, ModelSpec, accuracy, epoch_batches, loss_and_grad, make_synthetic, partition, PartitionScheme, PartitionSpec
 from fairagg.response import CdfFamily, CdfKind, ResponseBounds
 
 BINARY = ModelSpec(ModelKind.LOGISTIC, input_dim=2, num_classes=2)
 TRI = ModelSpec(ModelKind.LOGISTIC, input_dim=2, num_classes=3)
+MLP = ModelSpec(ModelKind.MLP, input_dim=2, num_classes=3, hidden=4)
 
 
 def make_state(method_kind, clients, seed=0, **overrides):
@@ -93,13 +99,44 @@ def test_sampling_is_uniform_by_monte_carlo():
     np.testing.assert_allclose(hits / draws, 0.5, atol=0.01)
 
 
+def test_propensity_is_the_sampled_fraction(monkeypatch):
+    # floor(0.5 * 7) = 3 of 7 clients are sampled, so each is included with
+    # probability 3/7, not the configured 0.5.
+    assert sample_size(7, 0.5) == 3
+    state = make_state(
+        MethodKind.AAGGFF_D, shards_for(7, n=140), sampling_c=0.5,
+        bounds=ResponseBounds.cross_silo(7),
+    )
+    assert state.propensity == 3 / 7
+    assert state.ftrl.l_inf_dr == lipschitz_constants(state.bounds, 3 / 7).l_inf_dr
+    seen = []
+
+    def spy(raw, sampling_c):
+        seen.append(sampling_c)
+        return dr_response(raw, sampling_c)
+
+    monkeypatch.setattr(fedsim, "dr_response", spy)
+    run_round(state, 0)
+    assert seen == [3 / 7]
+    # Where c*k is a whole number the propensity is c itself, bit for bit.
+    assert sample_size(1000, 0.02) / 1000 == 0.02
+
+
 # ---------------------------------------------------------------------------
 # client updates
 # ---------------------------------------------------------------------------
 
+def update_one(params, data, spec, *, rng, client_id=0, round_index=-1, **kwargs):
+    """client_update on a single client: (results, diverged)."""
+    return client_update(
+        params, [data], spec, rngs=[rng], client_ids=[client_id],
+        round_index=round_index, **kwargs,
+    )
+
+
 def test_zero_epochs_leave_parameters_untouched():
     data = make_synthetic(30, 2, 2, seed=1)
-    out = client_update(
+    [out], _ = update_one(
         np.zeros(3), data, BINARY, epochs=0, batch_size=10, lr=0.5,
         prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
     )
@@ -112,7 +149,7 @@ def test_single_sample_one_step_analytic_delta():
     # One sample (x, y=1) from zero parameters: prob 0.5, so the step is
     # lr * [-x/2, -1/2] and the delta its negation.
     data = Dataset(np.array([[2.0, -1.0]]), np.array([1], dtype=np.int64))
-    out = client_update(
+    [out], _ = update_one(
         np.zeros(3), data, BINARY, epochs=1, batch_size=1, lr=0.5,
         prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
     )
@@ -122,7 +159,7 @@ def test_single_sample_one_step_analytic_delta():
 
 def test_feedback_is_measured_before_training():
     data = make_synthetic(40, 2, 2, seed=2)
-    out = client_update(
+    [out], _ = update_one(
         np.zeros(3), data, BINARY, epochs=3, batch_size=10, lr=0.5,
         prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
     )
@@ -133,10 +170,10 @@ def test_feedback_is_measured_before_training():
 def test_prox_pull_is_inactive_on_the_first_step():
     data = make_synthetic(25, 2, 2, seed=3)
     kwargs = dict(epochs=1, batch_size=25, lr=0.3, weight_decay=0.0)
-    plain = client_update(
+    [plain], _ = update_one(
         np.zeros(3), data, BINARY, prox_mu=0.0, rng=np.random.default_rng(1), **kwargs
     )
-    prox = client_update(
+    [prox], _ = update_one(
         np.zeros(3), data, BINARY, prox_mu=5.0, rng=np.random.default_rng(1), **kwargs
     )
     np.testing.assert_allclose(prox.delta, plain.delta)
@@ -146,10 +183,10 @@ def test_prox_shrinks_multi_step_drift():
     # lr * mu stays below the stability threshold so the pull is a contraction.
     data = make_synthetic(50, 2, 2, seed=4)
     kwargs = dict(epochs=5, batch_size=10, lr=0.3, weight_decay=0.0)
-    plain = client_update(
+    [plain], _ = update_one(
         np.zeros(3), data, BINARY, prox_mu=0.0, rng=np.random.default_rng(1), **kwargs
     )
-    prox = client_update(
+    [prox], _ = update_one(
         np.zeros(3), data, BINARY, prox_mu=1.0, rng=np.random.default_rng(1), **kwargs
     )
     assert np.linalg.norm(prox.delta) < np.linalg.norm(plain.delta)
@@ -159,10 +196,10 @@ def test_weight_decay_adds_ridge_pull():
     data = make_synthetic(25, 2, 2, seed=5)
     received = np.array([1.0, -2.0, 0.5])
     kwargs = dict(epochs=1, batch_size=25, lr=0.3, prox_mu=0.0)
-    plain = client_update(
+    [plain], _ = update_one(
         received, data, BINARY, weight_decay=0.0, rng=np.random.default_rng(1), **kwargs
     )
-    decayed = client_update(
+    [decayed], _ = update_one(
         received, data, BINARY, weight_decay=0.1, rng=np.random.default_rng(1), **kwargs
     )
     np.testing.assert_allclose(decayed.delta - plain.delta, 0.3 * 0.1 * received, atol=1e-12)
@@ -170,37 +207,158 @@ def test_weight_decay_adds_ridge_pull():
 
 def test_training_divergence_is_flagged():
     # Huge features with a still-finite first step: the second batch sees
-    # overflowing logits and must fail as a divergence, not a crash.
+    # overflowing logits and must be reported as a divergence, not a crash.
     features = 1e200 * np.ones((4, 2))
     data = Dataset(features, np.array([0, 1, 2, 0], dtype=np.int64))
-    with pytest.raises(DivergenceError) as excinfo:
-        client_update(
-            np.zeros(TRI.param_length), data, TRI, epochs=2, batch_size=4, lr=10.0,
-            prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
-            client_id=7, round_index=3,
-        )
-    assert excinfo.value.client_id == 7
-    assert excinfo.value.round_index == 3
+    results, [error] = update_one(
+        np.zeros(TRI.param_length), data, TRI, epochs=2, batch_size=4, lr=10.0,
+        prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
+        client_id=7, round_index=3,
+    )
+    assert results == []
+    assert isinstance(error, DivergenceError)
+    assert error.client_id == 7
+    assert error.round_index == 3
 
 
 def test_parameter_overflow_is_flagged_even_with_finite_loss():
     # Binary logistic clips probabilities, so its loss stays finite; the
     # overflow check on the local iterate must still catch this.
     data = Dataset(np.array([[1e160, 0.0]]), np.array([1], dtype=np.int64))
-    with pytest.raises(DivergenceError):
-        client_update(
-            np.zeros(3), data, BINARY, epochs=2, batch_size=1, lr=1e160,
-            prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
-        )
+    results, [error] = update_one(
+        np.zeros(3), data, BINARY, epochs=2, batch_size=1, lr=1e160,
+        prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
+        client_id=7, round_index=3,
+    )
+    assert results == []
+    assert isinstance(error, DivergenceError)
+    assert error.client_id == 7
+    assert error.round_index == 3
+
+
+def test_non_finite_feedback_is_flagged_without_training():
+    # Overflowing logits already on the received model: the client is
+    # dropped on its feedback even with no local step to take.
+    data = Dataset(1e200 * np.ones((3, 2)), np.array([0, 1, 2], dtype=np.int64))
+    results, [error] = update_one(
+        np.full(TRI.param_length, 1e200), data, TRI, epochs=0, batch_size=3, lr=0.1,
+        prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
+        client_id=7, round_index=3,
+    )
+    assert results == []
+    assert error.client_id == 7
+    assert error.round_index == 3
 
 
 def test_empty_shard_rejected():
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     with pytest.raises(InvalidDimensionError):
-        client_update(
+        update_one(
             np.zeros(3), empty, BINARY, epochs=1, batch_size=1, lr=0.1,
             prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
         )
+
+
+def per_client_update(params, data, spec, *, epochs, batch_size, lr, prox_mu, weight_decay, rng):
+    """Reference: one client's feedback and SGD delta, trained alone, one
+    minibatch per call; None if it diverged."""
+    received = np.asarray(params, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        feedback, _ = loss_and_grad(spec, received, data)
+        if not np.isfinite(feedback):
+            return None
+        local = received.copy()
+        for _ in range(epochs):
+            for batch_idx in epoch_batches(len(data), batch_size, rng):
+                loss, grad = loss_and_grad(spec, local, data.subset(batch_idx))
+                if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+                    return None
+                if prox_mu > 0.0:
+                    grad = grad + prox_mu * (local - received)
+                if weight_decay > 0.0:
+                    grad = grad + weight_decay * local
+                local = local - lr * grad
+                if not np.all(np.isfinite(local)):
+                    return None
+    return feedback, received - local
+
+
+def random_shards(spec, sizes, rng):
+    return [
+        Dataset(
+            2.0 * rng.standard_normal((size, spec.input_dim)),
+            rng.integers(0, spec.num_classes, size=size),
+        )
+        for size in sizes
+    ]
+
+
+def stacked_and_reference(params, shards, spec, seed, **kwargs):
+    ids = list(range(len(shards)))
+    stacked = client_update(
+        params, shards, spec, rngs=[np.random.default_rng([seed, i]) for i in ids],
+        client_ids=ids, round_index=0, **kwargs,
+    )
+    reference = [
+        per_client_update(params, shard, spec, rng=np.random.default_rng([seed, i]), **kwargs)
+        for i, shard in zip(ids, shards)
+    ]
+    return stacked, reference
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    spec=st.sampled_from([BINARY, TRI, MLP]),
+    sizes=st.lists(st.one_of(st.just(1), st.integers(2, 9), st.integers(20, 60)), min_size=1, max_size=6),
+    batch_size=st.sampled_from([1, 3, 7, 20, 100]),
+    epochs=st.sampled_from([0, 1, 3]),
+    prox_mu=st.sampled_from([0.0, 0.1]),
+    weight_decay=st.sampled_from([0.0, 0.01]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_update_matches_per_client_loop(
+    spec, sizes, batch_size, epochs, prox_mu, weight_decay, seed
+):
+    rng = np.random.default_rng(seed)
+    shards = random_shards(spec, sizes, rng)
+    params = 0.5 * rng.standard_normal(spec.param_length)
+    (results, diverged), reference = stacked_and_reference(
+        params, shards, spec, seed, epochs=epochs, batch_size=batch_size, lr=0.2,
+        prox_mu=prox_mu, weight_decay=weight_decay,
+    )
+    assert diverged == []
+    assert [r.client_id for r in results] == list(range(len(sizes)))
+    for result, size, (feedback, delta) in zip(results, sizes, reference):
+        assert result.sample_count == size
+        assert abs(result.feedback_loss - feedback) <= 1e-12
+        np.testing.assert_allclose(result.delta, delta, rtol=0.0, atol=1e-12)
+
+
+def test_one_diverging_client_leaves_the_others_untouched():
+    rng = np.random.default_rng(11)
+    shards = random_shards(TRI, [30, 7, 45, 1], rng)
+    kwargs = dict(epochs=2, batch_size=15, lr=10.0, prox_mu=0.0, weight_decay=0.0)
+    params = np.zeros(TRI.param_length)
+    # Client 1's first step is finite; its second, mid-epoch, overflows.
+    bad = list(shards)
+    bad[1] = Dataset(1e200 * np.ones_like(shards[1].features), shards[1].labels)
+    (results, [error]), reference = stacked_and_reference(params, bad, TRI, 5, **kwargs)
+    assert reference[1] is None
+    assert error.client_id == 1 and error.round_index == 0
+    assert [r.client_id for r in results] == [0, 2, 3]
+
+    # The same clients without the bad one, at the same client ids.
+    kept = [0, 2, 3]
+    alone, diverged = client_update(
+        params, [shards[i] for i in kept], TRI,
+        rngs=[np.random.default_rng([5, i]) for i in kept], client_ids=kept, **kwargs,
+    )
+    assert diverged == []
+    for with_bad, without in zip(results, alone):
+        np.testing.assert_array_equal(with_bad.delta, without.delta)
+        assert abs(with_bad.feedback_loss - without.feedback_loss) <= 1e-12
+    for result, i in zip(results, kept):
+        np.testing.assert_allclose(result.delta, reference[i][1], rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

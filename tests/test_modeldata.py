@@ -22,6 +22,7 @@ from fairagg.modeldata import (
     accuracy,
     central_train_accuracy,
     epoch_batches,
+    group_loss,
     init_params,
     load_csv_dataset,
     loss_and_grad,
@@ -178,21 +179,38 @@ def test_zero_params_give_log_num_classes_loss():
     assert loss3 == pytest.approx(math.log(3.0), abs=1e-12)
 
 
-@pytest.mark.parametrize("spec,classes", [(BINARY, 2), (MULTI, 4), (MLP, 3)])
-def test_gradient_matches_finite_differences(spec, classes):
+# The grouped cases give each of three groups its own parameters; a group's
+# loss depends on its own parameters only, so the summed loss has the same
+# gradient.  Explicit ids keep the names of the ungrouped cases.
+@pytest.mark.parametrize(
+    "spec,classes,sizes",
+    [
+        (BINARY, 2, None),
+        (MULTI, 4, None),
+        (MLP, 3, None),
+        (BINARY, 2, (1, 14, 25)),
+        (MULTI, 4, (1, 14, 25)),
+        (MLP, 3, (1, 14, 25)),
+    ],
+    ids=["spec0-2", "spec1-4", "spec2-3", "grouped-binary", "grouped-multi", "grouped-mlp"],
+)
+def test_gradient_matches_finite_differences(spec, classes, sizes):
     data = make_synthetic(40, spec.input_dim, classes, seed=14)
     rng = np.random.default_rng(14)
-    params = 0.5 * rng.standard_normal(spec.param_length)
-    _, grad = loss_and_grad(spec, params, data)
+    owner = None if sizes is None else np.repeat(np.arange(len(sizes)), sizes)
+    shape = (spec.param_length,) if sizes is None else (len(sizes), spec.param_length)
+    params = 0.5 * rng.standard_normal(shape)
+    _, grad = loss_and_grad(spec, params, data, owner)
+    assert grad.shape == shape
 
     h = 1e-6
     numeric = np.empty_like(params)
-    for i in range(params.size):
+    for i in np.ndindex(params.shape):
         e = np.zeros_like(params)
         e[i] = h
-        up, _ = loss_and_grad(spec, params + e, data)
-        down, _ = loss_and_grad(spec, params - e, data)
-        numeric[i] = (up - down) / (2 * h)
+        up, _ = loss_and_grad(spec, params + e, data, owner)
+        down, _ = loss_and_grad(spec, params - e, data, owner)
+        numeric[i] = (np.sum(up) - np.sum(down)) / (2 * h)
     scale = max(1.0, float(np.max(np.abs(numeric))))
     assert float(np.max(np.abs(grad - numeric))) / scale <= 1e-5
 
@@ -203,6 +221,8 @@ def test_loss_rejects_bad_params_and_batches():
         loss_and_grad(BINARY, np.zeros(5), data)
     with pytest.raises(NumericalFailureError):
         loss_and_grad(BINARY, np.array([np.inf, 0.0, 0.0]), data)
+    with pytest.raises(InvalidDimensionError):  # grouped form needs (S, P)
+        loss_and_grad(BINARY, np.zeros(3), data, np.zeros(10, dtype=np.int64))
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     with pytest.raises(InvalidDimensionError):
         loss_and_grad(BINARY, np.zeros(3), empty)
@@ -241,6 +261,33 @@ def test_grouped_accuracy_equals_per_shard_accuracy(sizes, spec, seed):
     grouped = accuracy(spec, params, pooled, owner)
     assert grouped.shape == (len(sizes),)
     assert grouped.tolist() == [accuracy(spec, params, shard) for shard in shards]
+
+
+@settings(deadline=None)
+@given(shard_sizes, st.sampled_from([BINARY, MULTI, MLP]), st.integers(0, 2**32 - 1))
+def test_grouped_loss_and_grad_equal_per_group_calls(sizes, spec, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    pooled = Dataset(
+        2.0 * rng.standard_normal((n, spec.input_dim)),
+        rng.integers(0, spec.num_classes, size=n),
+    )
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    params = rng.standard_normal((len(sizes), spec.param_length))
+    ends = np.cumsum(sizes)
+    shards = [pooled.subset(np.arange(end - size, end)) for end, size in zip(ends, sizes)]
+
+    loss, grad = loss_and_grad(spec, params, pooled, owner)
+    shared = group_loss(spec, params[0], pooled, owner)
+    assert loss.shape == shared.shape == (len(sizes),)
+    assert grad.shape == params.shape
+    for g, shard in enumerate(shards):
+        one_loss, one_grad = loss_and_grad(spec, params[g], shard)
+        np.testing.assert_allclose(loss[g], one_loss, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad[g], one_grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            shared[g], loss_and_grad(spec, params[0], shard)[0], rtol=1e-12, atol=1e-12
+        )
 
 
 def test_init_params_deterministic_and_small():
