@@ -139,7 +139,9 @@ class OnsState:
     ``mat`` accumulates alpha*I + beta * sum of g g^T; ``rhs`` accumulates
     beta * <g, p> * g; ``grad_sum`` the plain gradient sum.  ``inv`` mirrors
     the inverse of ``mat`` via rank-1 updates, rebuilt every REFACTOR_EVERY
-    rounds.
+    rounds.  It gives the unconstrained surrogate minimizer and drives the
+    exact metric projection of each decision; the projection is certified
+    against ``mat`` itself, so drift in ``inv`` cannot corrupt a decision.
     """
 
     round: int
@@ -196,7 +198,12 @@ def aaggff_s_step(
         return new_state, np.array([1.0])
 
     grad_sum = state.grad_sum + g
-    mat = state.mat + state.beta * np.outer(g, g)
+    # einsum forms an outer product several times faster than np.outer's
+    # broadcast multiply, with the same values; scaling and summing in place
+    # keeps both updates bit for bit equal to the textbook expressions.
+    mat = np.einsum("i,j->ij", g, g)
+    mat *= state.beta
+    mat += state.mat
     rhs = state.rhs + state.beta * float(g @ state.last_decision) * g
 
     updates = state.updates_since_refactor + 1
@@ -211,10 +218,12 @@ def aaggff_s_step(
             raise NumericalFailureError(
                 "positive definiteness lost in the rank-1 inverse update"
             )
-        inv = state.inv - (state.beta / denom) * np.outer(iv, iv)
+        inv = np.einsum("i,j->ij", iv, iv)
+        inv *= state.beta / denom
+        np.subtract(state.inv, inv, out=inv)
 
     unconstrained = inv @ (rhs - grad_sum)
-    decision = project_generalized(unconstrained, mat, tol=tol)
+    decision = project_generalized(unconstrained, mat, tol=tol, b_inv=inv)
 
     new_state = OnsState(
         round=state.round + 1,

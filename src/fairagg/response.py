@@ -96,39 +96,53 @@ class ResponseVector:
             raise InvalidDimensionError("values and observed must be equal-length 1-D")
 
 
-def erf(x: float) -> float:
-    """Gauss error function via a rational approximation (|error| <= 1.5e-7)."""
-    sign = 1.0 if x >= 0.0 else -1.0
-    x = abs(x)
+def erf(x):
+    """Gauss error function via a rational approximation (|error| <= 1.5e-7).
+
+    Elementwise over an array; a scalar gives a 0-d array.
+    """
+    x = np.asarray(x, dtype=float)
+    sign = np.where(x >= 0.0, 1.0, -1.0)
+    x = np.abs(x)
     t = 1.0 / (1.0 + 0.3275911 * x)
     poly = t * (0.254829592 + t * (-0.284496736 + t * (1.421413741
                 + t * (-1.453152027 + t * 1.061405429))))
-    return sign * (1.0 - poly * math.exp(-x * x))
+    return sign * (1.0 - poly * np.exp(-x * x))
+
+
+def _cdf_values(kind: CdfKind, x: np.ndarray) -> np.ndarray:
+    """The chosen CDF at every point of a nonnegative array; results in [0, 1].
+
+    Where an exponent ``inner`` exceeds 700 its exp would overflow, and the
+    CDF is 0 there; the exp itself is taken of ``min(inner, 700)``.
+    """
+    a, b = kind.scale, kind.shape
+    if kind.family is CdfFamily.WEIBULL:
+        return 1.0 - np.exp(-((x / a) ** b))
+    if kind.family is CdfFamily.FRECHET:
+        # log of (x/a)^(-b) guards pow overflow; x == 0 gives inner = +inf,
+        # which the guard maps to the CDF's value 0 there.
+        with np.errstate(divide="ignore"):
+            inner = -b * np.log(x / a)
+        return np.where(inner > 700.0, 0.0, np.exp(-np.exp(np.minimum(inner, 700.0))))
+    if kind.family is CdfFamily.GUMBEL:
+        inner = -(x - a) / b
+        return np.where(inner > 700.0, 0.0, np.exp(-np.exp(np.minimum(inner, 700.0))))
+    if kind.family is CdfFamily.EXPONENTIAL:
+        return 1.0 - np.exp(-a * x)
+    if kind.family is CdfFamily.LOGISTIC:
+        inner = -(x - a) / b
+        return np.where(inner > 700.0, 0.0, 1.0 / (1.0 + np.exp(np.minimum(inner, 700.0))))
+    if kind.family is CdfFamily.NORMAL:
+        return 0.5 * (1.0 + erf((x - a) / (b * math.sqrt(2.0))))
+    raise DomainError(f"unknown CDF family {kind.family!r}")
 
 
 def cdf_eval(kind: CdfKind, x: float) -> float:
     """Evaluate the chosen CDF at a nonnegative point; result in [0, 1]."""
     if x < 0.0:
         raise DomainError(f"CDF input must be nonnegative, got {x}")
-    a, b = kind.scale, kind.shape
-    if kind.family is CdfFamily.WEIBULL:
-        return 1.0 - math.exp(-((x / a) ** b))
-    if kind.family is CdfFamily.FRECHET:
-        if x == 0.0:
-            return 0.0
-        inner = -b * math.log(x / a)  # log of (x/a)^(-b); guards pow overflow
-        return 0.0 if inner > 700.0 else math.exp(-math.exp(inner))
-    if kind.family is CdfFamily.GUMBEL:
-        inner = -(x - a) / b
-        return 0.0 if inner > 700.0 else math.exp(-math.exp(inner))
-    if kind.family is CdfFamily.EXPONENTIAL:
-        return 1.0 - math.exp(-a * x)
-    if kind.family is CdfFamily.LOGISTIC:
-        inner = -(x - a) / b
-        return 0.0 if inner > 700.0 else 1.0 / (1.0 + math.exp(inner))
-    if kind.family is CdfFamily.NORMAL:
-        return 0.5 * (1.0 + erf((x - a) / (b * math.sqrt(2.0))))
-    raise DomainError(f"unknown CDF family {kind.family!r}")
+    return float(_cdf_values(kind, np.array([x], dtype=float))[0])
 
 
 def transform_losses(
@@ -149,8 +163,7 @@ def transform_losses(
     if mean <= 0.0:
         raise DegenerateInputError("all-zero losses leave the scaling mean undefined")
     ratios = losses / mean
-    out = np.array([cdf_eval(kind, float(r)) for r in ratios])
-    return bounds.c1 + (bounds.c2 - bounds.c1) * out
+    return bounds.c1 + (bounds.c2 - bounds.c1) * _cdf_values(kind, ratios)
 
 
 # Regime defaults: the smooth symmetric family for few-client rounds, the

@@ -1,9 +1,15 @@
 """Probability-simplex arithmetic and constrained minimization.
 
-The solver is a projected-gradient loop with backtracking line search.
-Convergence is judged by the KKT residual, not objective decrease, so the
-returned point is directly checkable: every coordinate carrying mass must see
-a gradient entry within ``tol`` of the smallest one.
+The general solver is a projected-gradient loop with backtracking line
+search.  Convergence is judged by the KKT residual, not objective decrease, so
+the returned point is directly checkable: every coordinate carrying mass must
+see a gradient entry within ``tol`` of the smallest one.
+
+The projection in the metric of a positive definite matrix is solved exactly
+by an active-set method on the matrix inverse.  The projected-gradient loop
+then certifies the point: it accepts a KKT-valid start at once and runs its
+line search only when the exact solve fell short (a drifted inverse or an
+active set that did not settle), so it is also the fallback.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ SUM_TOL = 1e-9
 
 DEFAULT_TOL = 1e-9
 MAX_ITERATIONS = 10_000
+
+# Passes of the active-set solve in project_generalized before the point it
+# has reached is handed to the certifying solver as it stands.
+MAX_ACTIVE_SET_PASSES = 32
 
 # Line-search controls: Armijo sufficient-decrease constant, step shrink
 # factor, and the growth applied to the accepted step before the next trial.
@@ -165,17 +175,87 @@ def minimize_over_simplex(
     )
 
 
-def project_generalized(q: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _active_set_projection(q: np.ndarray, b_inv: np.ndarray, tol: float) -> np.ndarray | None:
+    """Minimizer of (p-q)^T B (p-q) over the simplex, from H = B^-1 alone.
+
+    With the coordinates in N fixed at zero and the rest free, stationarity
+    reads B (p - q) = (lambda/2) 1 + mu/2 with mu zero off N.  Writing u = H 1
+    and y = H_NN^-1 [q_N, u_N], the free part is
+
+        p_S = q_S - H_SN y_q + (lambda/2) (u_S - H_SN y_u),
+
+    lambda makes p sum to one, and the multipliers of the fixed coordinates
+    are mu_N = -2 (y_q + (lambda/2) y_u).  H is symmetric, so H_SN is read
+    from the rows N of H.  Each pass fixes the free coordinates that went
+    negative and frees the fixed one whose multiplier is most negative below
+    ``-tol``; it stops when neither happens.  Costs O(K |N| + |N|^3) per
+    pass.  Returns None when H is not positive on the support or yields
+    non-finite values; raises LinAlgError when H_NN is singular.
+    """
+    u = b_inv @ np.ones(q.size)
+    fixed = np.zeros(q.size, dtype=bool)
+    for _ in range(MAX_ACTIVE_SET_PASSES):
+        fixed_idx = np.flatnonzero(fixed)
+        offset, slope = q, u
+        if fixed_idx.size:
+            h_n = b_inv[fixed_idx]
+            y = np.linalg.solve(
+                h_n[:, fixed_idx], np.stack([q[fixed_idx], u[fixed_idx]], axis=1)
+            )
+            offset = q - y[:, 0] @ h_n
+            slope = u - y[:, 1] @ h_n
+            # Both vanish on N up to rounding; pin them so p_N = 0 exactly.
+            offset[fixed_idx] = 0.0
+            slope[fixed_idx] = 0.0
+        total = float(slope.sum())
+        if not total > 0.0:
+            return None
+        half_lambda = (1.0 - float(offset.sum())) / total
+        p = offset + half_lambda * slope
+        if not np.all(np.isfinite(p)):
+            return None
+
+        negative = p < 0.0
+        release = None
+        if fixed_idx.size:
+            mu = -2.0 * (y[:, 0] + half_lambda * y[:, 1])
+            worst = int(np.argmin(mu))
+            if mu[worst] < -tol:
+                release = fixed_idx[worst]
+        if release is None and not negative.any():
+            break
+        fixed |= negative
+        if release is not None:
+            fixed[release] = False
+    return p
+
+
+def project_generalized(
+    q: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL, b_inv: np.ndarray | None = None
+) -> np.ndarray:
     """Projection onto the simplex in the metric of a positive definite matrix.
 
     Returns argmin over the simplex of (p-q)^T B (p-q).  A feasible ``q`` is
-    returned unchanged.
+    returned unchanged.  ``b_inv`` is the inverse of ``b`` when the caller
+    already keeps one; without it the inverse is computed here.
+
+    The minimizer is solved exactly by an active-set method on ``b_inv``,
+    cleaned onto the simplex, and handed as the start to
+    ``minimize_over_simplex``.  That solver checks KKT stationarity against
+    ``b`` itself: an exact start passes at iteration 0, and any shortfall (a
+    drifted or wrong ``b_inv``, an active set that did not settle within
+    MAX_ACTIVE_SET_PASSES) is finished by its projected-gradient line search,
+    so the result always meets ``tol``.
     """
     q = np.asarray(q, dtype=float)
     b = np.asarray(b, dtype=float)
     if b.shape != (q.size, q.size):
         raise InvalidDimensionError(
             f"metric matrix shape {b.shape} does not match vector length {q.size}"
+        )
+    if b_inv is not None and np.shape(b_inv) != b.shape:
+        raise InvalidDimensionError(
+            f"inverse shape {np.shape(b_inv)} does not match metric shape {b.shape}"
         )
     if is_decision(q):
         return q.copy()
@@ -187,7 +267,12 @@ def project_generalized(q: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) 
     def gradient(p: np.ndarray) -> np.ndarray:
         return 2.0 * (b @ (p - q))
 
-    # Warm start from the Euclidean projection; it is feasible and close for
-    # well-conditioned metrics.
-    start = project_to_simplex(q)
+    try:
+        inverse = np.linalg.inv(b) if b_inv is None else np.asarray(b_inv, dtype=float)
+        exact = _active_set_projection(q, inverse, tol)
+    except np.linalg.LinAlgError:
+        exact = None
+    # Without a usable inverse, start from the Euclidean projection; it is
+    # feasible and close for well-conditioned metrics.
+    start = project_to_simplex(q if exact is None else exact)
     return minimize_over_simplex(objective, gradient, q.size, tol=tol, start=start)

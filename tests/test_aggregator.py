@@ -8,6 +8,7 @@ against grid-search and closed-form argmin oracles rebuilt from raw history.
 import logging
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from fairagg.aggregator import (
     normalize_selected,
     ons_init,
 )
-from fairagg.cli import unify_instance
+from fairagg import simplex
+from fairagg.cli import synthetic_responses, unify_instance
 from fairagg.decision import decision_grad, dr_response, linearized_grad, lipschitz_constants
 from fairagg.errors import DomainError, InvalidDimensionError, NumericalFailureError
 from fairagg.metrics import cumulative_regret
@@ -237,6 +239,29 @@ def test_ons_inverse_tracks_matrix():
         g = rng.uniform(-0.2, 0.0, size=3)
         state, decision = aaggff_s_step(state, g)
     np.testing.assert_allclose(state.inv @ state.mat, np.eye(3), atol=1e-8)
+
+
+def test_ons_projection_is_exact_without_line_search():
+    # The regret-bench stream at K=200: every decision is a metric projection
+    # solved from the tracked inverse.  The certifying solver then accepts it
+    # at iteration 0, so the only Euclidean projection is the one cleaning
+    # the exact point; any line-search step would add more.
+    k, rounds = 200, 300
+    c2 = 1.0 / k
+    responses = synthetic_responses(k, rounds, c2, seed=0)
+    state = ons_init(k, lipschitz_constants(ResponseBounds(0.0, c2), 1.0).l_inf)
+    decision = state.last_decision
+    with mock.patch.object(
+        simplex, "project_to_simplex", wraps=simplex.project_to_simplex
+    ) as euclidean, mock.patch.object(
+        simplex, "minimize_over_simplex", wraps=simplex.minimize_over_simplex
+    ) as certifier:
+        for response in responses:
+            state, decision = aaggff_s_step(state, decision_grad(decision, response))
+            surrogate_grad = state.mat @ decision + state.grad_sum - state.rhs
+            assert kkt_residual(decision, surrogate_grad, active_tol=1e-12) <= 1e-7
+    assert euclidean.call_count == rounds
+    assert certifier.call_count == rounds
 
 
 def test_ons_rejects_mismatched_gradient():

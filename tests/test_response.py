@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairagg.errors import DegenerateInputError, DomainError
@@ -147,6 +147,70 @@ def test_order_preservation():
         out = transform_losses(losses, CdfKind(family), ResponseBounds(0.0, 1.0))
         order = np.argsort(losses)
         assert np.all(np.diff(out[order]) >= -1e-12)
+
+
+def scalar_erf(x: float) -> float:
+    """The rational erf approximation, one point at a time with ``math``."""
+    sign = 1.0 if x >= 0.0 else -1.0
+    x = abs(x)
+    t = 1.0 / (1.0 + 0.3275911 * x)
+    poly = t * (0.254829592 + t * (-0.284496736 + t * (1.421413741
+                + t * (-1.453152027 + t * 1.061405429))))
+    return sign * (1.0 - poly * math.exp(-x * x))
+
+
+def scalar_cdf(kind: CdfKind, x: float) -> float:
+    """Reference CDF at one point, written with ``math`` and explicit guards."""
+    a, b = kind.scale, kind.shape
+    if kind.family is CdfFamily.WEIBULL:
+        return 1.0 - math.exp(-((x / a) ** b))
+    if kind.family is CdfFamily.FRECHET:
+        if x == 0.0:
+            return 0.0
+        inner = -b * math.log(x / a)
+        return 0.0 if inner > 700.0 else math.exp(-math.exp(inner))
+    if kind.family is CdfFamily.GUMBEL:
+        inner = -(x - a) / b
+        return 0.0 if inner > 700.0 else math.exp(-math.exp(inner))
+    if kind.family is CdfFamily.EXPONENTIAL:
+        return 1.0 - math.exp(-a * x)
+    if kind.family is CdfFamily.LOGISTIC:
+        inner = -(x - a) / b
+        return 0.0 if inner > 700.0 else 1.0 / (1.0 + math.exp(inner))
+    return 0.5 * (1.0 + scalar_erf((x - a) / (b * math.sqrt(2.0))))
+
+
+_LOSS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-40, max_value=1e-30),  # ratios deep in the lower tail
+    st.floats(min_value=1e-3, max_value=50.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_LOSS, min_size=0, max_size=12),
+    st.floats(min_value=1e-3, max_value=50.0),
+    st.sampled_from(list(CdfFamily)),
+    st.floats(min_value=0.05, max_value=5.0),
+    st.one_of(st.sampled_from([1e-3, 0.01]), st.floats(min_value=0.05, max_value=10.0)),
+)
+# Overflow guards: Frechet at a zero loss and far below the scale, Gumbel and
+# Logistic with a tiny shape.
+@example([0.0, 1e-35], 1.0, CdfFamily.FRECHET, 1.0, 10.0)
+@example([0.0, 0.1], 1.0, CdfFamily.GUMBEL, 1.0, 1e-3)
+@example([0.0, 0.1], 1.0, CdfFamily.LOGISTIC, 1.0, 1e-3)
+def test_vectorized_transform_matches_pointwise_cdf(losses, positive, family, scale, shape):
+    kind = CdfKind(family, scale, None if family is CdfFamily.EXPONENTIAL else shape)
+    arr = np.array(losses + [positive])
+    # On [0, 1] the response is the CDF value itself.
+    out = transform_losses(arr, kind, ResponseBounds(0.0, 1.0))
+    ratios = arr / arr.mean()
+    few_ulp = 4 * np.finfo(float).eps
+    expected = np.array([scalar_cdf(kind, float(r)) for r in ratios])
+    np.testing.assert_allclose(out, expected, rtol=0.0, atol=few_ulp)
+    pointwise = np.array([cdf_eval(kind, float(r)) for r in ratios])
+    np.testing.assert_allclose(out, pointwise, rtol=0.0, atol=few_ulp)
 
 
 def test_erf_rational_approximation_accuracy():

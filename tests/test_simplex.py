@@ -1,8 +1,13 @@
 """Solver contract tests: exact trivial cases, grid-search oracles, properties."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairagg import simplex
 from fairagg.errors import InvalidDimensionError, NonConvergenceError, NumericalFailureError
 from fairagg.simplex import (
     is_decision,
@@ -163,3 +168,94 @@ def test_project_generalized_is_idempotent():
 def test_project_generalized_rejects_mismatched_shapes():
     with pytest.raises(InvalidDimensionError):
         project_generalized(np.ones(3), np.eye(2))
+    with pytest.raises(InvalidDimensionError):
+        project_generalized(np.ones(3), np.eye(3), b_inv=np.eye(2))
+
+
+def ons_metric(rng: np.random.Generator, k: int, updates: int) -> np.ndarray:
+    """alpha*I + beta * sum g g^T as the quadratic-surrogate method builds it.
+
+    With the gradient bound at 1, alpha = 4k and beta = 1/4; decision-loss
+    gradients are nonpositive.
+    """
+    grads = rng.uniform(-1.0, 0.0, size=(updates, k))
+    return 4.0 * k * np.eye(k) + 0.25 * grads.T @ grads
+
+
+def reference_projection(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """The metric projection by projected gradient alone, from the barycenter."""
+    return minimize_over_simplex(
+        lambda p: float((p - q) @ mat @ (p - q)),
+        lambda p: 2.0 * (mat @ (p - q)),
+        q.size,
+        tol=1e-11,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=50),
+    st.integers(min_value=0, max_value=40),
+    st.floats(min_value=0.0, max_value=0.9),
+    st.floats(min_value=0.01, max_value=3.0),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_exact_projection_matches_iterative_solver(k, updates, sunk, spread, correlated, seed):
+    rng = np.random.default_rng(seed)
+    if correlated:
+        # Mixed-sign directions over a unit ridge: coordinates that go
+        # negative with every coordinate free are often positive at the
+        # projection, so the active set must free some of them again.  (A
+        # much smaller ridge makes the metric ill-conditioned enough that
+        # rounding alone can leave the exact point just above ``tol``.)
+        directions = rng.normal(size=(updates + 1, k))
+        mat = np.eye(k) + directions.T @ directions
+    else:
+        mat = ons_metric(rng, k, updates)
+    # A fraction of the coordinates is pushed far below the rest, so the
+    # projection must zero many of them; the rest scatter around 1/k.
+    q = 1.0 / k + spread * rng.normal(size=k) / k
+    q[rng.random(k) < sunk] -= 2.0 * spread
+    tol = 1e-9
+    # One Euclidean projection cleans the exact point; a line-search step
+    # would make more, so one call means the exact solve was accepted as is.
+    with mock.patch.object(
+        simplex, "project_to_simplex", wraps=simplex.project_to_simplex
+    ) as euclidean:
+        p = project_generalized(q, mat, tol=tol, b_inv=np.linalg.inv(mat))
+    assert euclidean.call_count == 1
+    assert is_decision(p)
+    assert kkt_residual(p, 2.0 * (mat @ (p - q)), tol) <= tol
+    np.testing.assert_allclose(p, reference_projection(q, mat), rtol=0.0, atol=1e-8)
+    # Without a supplied inverse the function builds its own.
+    np.testing.assert_allclose(project_generalized(q, mat, tol=tol), p, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "wrong_inverse",
+    ["stale", "perturbed", "identity", "negated", "zero", "nan"],
+)
+def test_wrong_inverse_still_gives_the_projection(wrong_inverse):
+    rng = np.random.default_rng(3)
+    k = 30
+    grads = rng.uniform(-1.0, 0.0, size=(60, k))
+    mat = 4.0 * k * np.eye(k) + 0.25 * grads.T @ grads
+    inv = np.linalg.inv(mat)
+    b_inv = {
+        # The inverse as it was 20 rank-1 updates ago.
+        "stale": np.linalg.inv(mat - 0.25 * grads[-20:].T @ grads[-20:]),
+        "perturbed": inv + 1e-3 * np.abs(inv).max() * rng.normal(size=(k, k)),
+        "identity": np.eye(k),
+        "negated": -inv,
+        "zero": np.zeros((k, k)),
+        "nan": np.full((k, k), np.nan),
+    }[wrong_inverse]
+    q = 1.0 / k + 3.0 * rng.normal(size=k) / k
+    tol = 1e-9
+    p = project_generalized(q, mat, tol=tol, b_inv=b_inv)
+    assert is_decision(p)
+    assert kkt_residual(p, 2.0 * (mat @ (p - q)), tol) <= tol
+    exact = project_generalized(q, mat, tol=tol, b_inv=inv)
+    assert np.count_nonzero(exact == 0.0) >= k // 4
+    np.testing.assert_allclose(p, exact, rtol=0.0, atol=1e-8)
