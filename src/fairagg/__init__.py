@@ -21,6 +21,7 @@ from .aggregator import (
     ftrl_init,
     normalize_selected,
     ons_init,
+    optimizer_init,
 )
 from .decision import (
     LipschitzConstants,

@@ -9,6 +9,9 @@ online convex optimizers over the decision simplex:
 * the closed-form method runs follow-the-regularized-leader with a negative
   entropy regularizer and a time-decaying step, so each decision is a softmax
   of the negated cumulative gradient (cross-device regime).
+
+``optimizer_init`` is the one place a method is mapped to its optimizer; both
+optimizers advance by ``step(gradient) -> (state, decision)``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .decision import LipschitzConstants
 from .errors import DomainError, InvalidDimensionError, NumericalFailureError
 from .simplex import project_generalized, uniform_decision
 
@@ -158,6 +162,9 @@ class OnsState:
     def k(self) -> int:
         return self.grad_sum.size
 
+    def step(self, gradient: np.ndarray) -> tuple[OnsState, np.ndarray]:
+        return aaggff_s_step(self, gradient)
+
 
 def ons_init(k: int, l_inf: float) -> OnsState:
     """Fresh optimizer state; the first decision is uniform by construction."""
@@ -255,7 +262,13 @@ class FtrlState:
     round: int
     cum_grad: np.ndarray
     l_inf_dr: float
-    k: int
+
+    @property
+    def k(self) -> int:
+        return self.cum_grad.size
+
+    def step(self, gradient: np.ndarray) -> tuple[FtrlState, np.ndarray]:
+        return aaggff_d_step(self, gradient)
 
 
 def ftrl_init(k: int, l_inf_dr: float) -> FtrlState:
@@ -263,7 +276,7 @@ def ftrl_init(k: int, l_inf_dr: float) -> FtrlState:
         raise InvalidDimensionError(f"need at least one client, got {k}")
     if l_inf_dr <= 0.0:
         raise DomainError(f"gradient bound must be positive, got {l_inf_dr}")
-    return FtrlState(round=0, cum_grad=np.zeros(k), l_inf_dr=l_inf_dr, k=k)
+    return FtrlState(round=0, cum_grad=np.zeros(k), l_inf_dr=l_inf_dr)
 
 
 def ftrl_decision(cum_grad: np.ndarray, rounds_seen: int, l_inf_dr: float) -> np.ndarray:
@@ -288,10 +301,21 @@ def aaggff_d_step(
     cum_grad = state.cum_grad + g
     rounds_seen = state.round + 1
     decision = ftrl_decision(cum_grad, rounds_seen, state.l_inf_dr)
-    new_state = FtrlState(
-        round=rounds_seen, cum_grad=cum_grad, l_inf_dr=state.l_inf_dr, k=state.k
-    )
+    new_state = FtrlState(round=rounds_seen, cum_grad=cum_grad, l_inf_dr=state.l_inf_dr)
     return new_state, decision
+
+
+def optimizer_init(
+    kind: MethodKind, k: int, constants: LipschitzConstants, sampled: bool
+) -> OnsState | FtrlState | None:
+    """Fresh optimizer of an adaptive method, sized by the bound of the
+    gradients it is fed (doubly-robust ones for AAggFFD under sampling);
+    None for a closed-form baseline."""
+    if kind is MethodKind.AAGGFF_S:
+        return ons_init(k, constants.l_inf)
+    if kind is MethodKind.AAGGFF_D:
+        return ftrl_init(k, constants.l_inf_dr if sampled else constants.l_inf)
+    return None
 
 
 def normalize_selected(p: np.ndarray, selected) -> np.ndarray:

@@ -19,8 +19,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,12 +29,9 @@ from .aggregator import (
     BASELINE_KINDS,
     AggregatorMethod,
     MethodKind,
-    aaggff_d_step,
-    aaggff_s_step,
     baseline_coefficients,
     eg_unified_step,
-    ftrl_init,
-    ons_init,
+    optimizer_init,
 )
 from .decision import decision_grad, lipschitz_constants
 from .errors import ConfigError, FairaggError
@@ -113,22 +111,24 @@ class ExperimentConfig:
     output_dir: str = "results"
 
 
-_REQUIRED_KEYS = ("K", "T", "method")
+# Config key -> its field's annotation as written and as a type.
+_HINTS = get_type_hints(ExperimentConfig)
+_SCHEMA = {f.name: (f.type, _HINTS[f.name]) for f in fields(ExperimentConfig)}
+_REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig)
+                  if f.default is MISSING and f.default_factory is MISSING]
 
-_KEY_TYPES: dict[str, tuple[type, ...]] = {
-    "K": (int,), "T": (int,), "B": (int,), "E": (int,), "decay_step": (int,),
-    "classes_per_client": (int,), "input_dim": (int,), "num_classes": (int,),
-    "hidden": (int,), "num_samples": (int,),
-    "C": (int, float), "lr": (int, float), "lr_decay": (int, float),
-    "prox_mu": (int, float), "weight_decay": (int, float), "q": (int, float),
-    "tilt": (int, float), "loss_ceiling": (int, float), "cdf_scale": (int, float),
-    "cdf_shape": (int, float), "c1": (int, float), "c2": (int, float),
-    "alpha": (int, float), "server_lr": (int, float), "beta1": (int, float),
-    "beta2": (int, float), "tau": (int, float),
-    "method": (str,), "cdf": (str,), "bounds_mode": (str,), "partition": (str,),
-    "model": (str,), "server_opt": (str,), "output_dir": (str,),
-    "seeds": (list,),
-}
+
+def _fits(hint, value) -> bool:
+    """Whether a JSON value fits a field type; a bool fits none, an int fits float."""
+    if isinstance(value, bool):
+        return False
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(args[0], v) for v in value)
+    if type(None) in args:
+        return value is None or _fits(args[0], value)
+    return isinstance(value, (int, float) if hint is float else hint)
+
 
 _ENUM_KEYS = {
     "method": {k.value for k in MethodKind},
@@ -149,8 +149,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object of key/value pairs")
 
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(_SCHEMA))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     missing = [key for key in _REQUIRED_KEYS if key not in raw]
@@ -158,23 +157,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
     for key, value in raw.items():
-        expected = _KEY_TYPES.get(key)
-        if expected is None:
-            continue
-        if value is None and key in ("cdf", "cdf_shape", "c1", "c2"):
-            continue
-        if not isinstance(value, expected) or isinstance(value, bool):
-            names = "/".join(t.__name__ for t in expected)
-            raise ConfigError(f"config key '{key}' must be {names}, got {value!r}")
-        if key in _ENUM_KEYS and value not in _ENUM_KEYS[key]:
+        annotation, hint = _SCHEMA[key]
+        if not _fits(hint, value):
+            raise ConfigError(f"config key '{key}' must be {annotation}, got {value!r}")
+        if value is not None and key in _ENUM_KEYS and value not in _ENUM_KEYS[key]:
             allowed = ", ".join(sorted(_ENUM_KEYS[key]))
             raise ConfigError(f"config key '{key}' must be one of: {allowed}")
-    if "seeds" in raw:
-        seeds = raw["seeds"]
-        if not seeds or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds
-        ):
-            raise ConfigError("config key 'seeds' must be a nonempty list of integers")
 
     cfg = ExperimentConfig(**raw)
     validate_config(cfg)
@@ -201,6 +189,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("config key 'tilt' must be positive")
     if cfg.bounds_mode == "Explicit" and (cfg.c1 is None or cfg.c2 is None):
         raise ConfigError("bounds_mode 'Explicit' requires config keys 'c1' and 'c2'")
+    # Seeds feed numpy seed sequences, which take nonnegative integers only.
+    if not cfg.seeds or min(cfg.seeds) < 0:
+        raise ConfigError("config key 'seeds' must be a nonempty list of nonnegative integers")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -375,24 +366,17 @@ def synthetic_responses(
 
 def sequence_regret(method: str, responses: np.ndarray, c2: float) -> float:
     """Cumulative regret of an adaptive method on a full-information log."""
+    kind = {"ons": MethodKind.AAGGFF_S, "ftrl": MethodKind.AAGGFF_D}.get(method)
+    if kind is None:
+        raise ValueError(f"unknown method {method!r}")
     rounds, k = responses.shape
     constants = lipschitz_constants(ResponseBounds(0.0, c2), 1.0)
+    optimizer = optimizer_init(kind, k, constants, sampled=False)
     decision = uniform_decision(k)
     decisions = []
-    if method == "ons":
-        state = ons_init(k, constants.l_inf)
-        for t in range(rounds):
-            decisions.append(decision)
-            grad = decision_grad(decision, responses[t])
-            state, decision = aaggff_s_step(state, grad)
-    elif method == "ftrl":
-        state = ftrl_init(k, constants.l_inf)
-        for t in range(rounds):
-            decisions.append(decision)
-            grad = decision_grad(decision, responses[t])
-            state, decision = aaggff_d_step(state, grad)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    for t in range(rounds):
+        decisions.append(decision)
+        optimizer, decision = optimizer.step(decision_grad(decision, responses[t]))
     regret, _ = cumulative_regret(decisions, list(responses))
     return regret
 
@@ -401,10 +385,9 @@ def cmd_regret_bench(args: argparse.Namespace) -> int:
     k = args.clients
     c2 = 1.0 / k
     l_inf = c2  # bounds [0, 1/k] give c2/(1+c1) = c2
-    horizons = [int(t) for t in args.rounds.split(",")]
     lines = ["method,T,regret,bound"]
     ok = True
-    for horizon in horizons:
+    for horizon in args.rounds:
         responses = synthetic_responses(k, horizon, c2, args.seed)
         for method, label in (("ons", "AAggFFS"), ("ftrl", "AAggFFD")):
             regret = sequence_regret(method, responses, c2)
@@ -484,6 +467,12 @@ def cmd_unify_check(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = parse_config(Path(args.config).read_text())
+        if args.seeds is not None:
+            try:
+                cfg.seeds = [int(s) for s in args.seeds.split(",")]
+            except ValueError:
+                raise ConfigError("--seeds must be a comma-separated integer list") from None
+            validate_config(cfg)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
@@ -492,13 +481,23 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
     if args.output is not None:
         cfg.output_dir = args.output
-    if args.seeds is not None:
-        try:
-            cfg.seeds = [int(s) for s in args.seeds.split(",")]
-        except ValueError:
-            print("error: --seeds must be a comma-separated integer list", file=sys.stderr)
-            return 1
     return run_experiment(cfg, threads=args.threads)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_ints(text: str) -> list[int]:
+    """argparse type: a comma-separated list of integers >= 1."""
+    return [_positive_int(part) for part in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,9 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("regret-bench",
                              help="check adaptive methods against regret bounds")
-    p_bench.add_argument("--rounds", default="100,500,2000",
+    p_bench.add_argument("--rounds", type=_positive_ints, default="100,500,2000",
                          help="comma-separated horizons")
-    p_bench.add_argument("--clients", type=int, default=8)
+    p_bench.add_argument("--clients", type=_positive_int, default=8)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--output", default=None, help="optional CSV output directory")
     p_bench.set_defaults(handler=cmd_regret_bench)

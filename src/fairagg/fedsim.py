@@ -15,6 +15,10 @@ warning; the round fails only when every sampled client diverged.
 
 The client shards live in one pooled dataset, concatenated in ascending
 client id, so each round scores every client with a single prediction pass.
+
+An adaptive method takes one ``step`` per round of the optimizer that
+``aggregator.optimizer_init`` gave it; a closed-form baseline has none and
+computes its coefficients over the round's surviving clients.
 """
 
 from __future__ import annotations
@@ -26,17 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregator import (
-    BASELINE_KINDS,
     AggregatorMethod,
     FtrlState,
     MethodKind,
     OnsState,
-    aaggff_d_step,
-    aaggff_s_step,
     baseline_coefficients,
-    ftrl_init,
     normalize_selected,
-    ons_init,
+    optimizer_init,
 )
 from .decision import (
     decision_grad,
@@ -283,8 +283,8 @@ class SimulationState:
     server_opt: ServerOptimizer
     threads: int = 1  # accepted for compatibility; clients train in one thread
     decision: np.ndarray = field(default=None)  # type: ignore[assignment]
-    ons: OnsState | None = None
-    ftrl: FtrlState | None = None
+    # The adaptive method's optimizer; None for a closed-form baseline.
+    optimizer: OnsState | FtrlState | None = field(init=False)
     # Every client's rows in ascending client id, and the client of each row.
     pool: Dataset = field(init=False)
     owner: np.ndarray = field(init=False)
@@ -311,13 +311,7 @@ class SimulationState:
             self.decision = uniform_decision(k)
         self.propensity = sample_size(k, self.sampling_c) / k
         constants = lipschitz_constants(self.bounds, self.propensity)
-        if self.method.kind is MethodKind.AAGGFF_S and self.ons is None:
-            self.ons = ons_init(k, constants.l_inf)
-        if self.method.kind is MethodKind.AAGGFF_D and self.ftrl is None:
-            # Bound of the gradient stream actually fed: exact gradients at
-            # full participation, doubly-robust ones under sampling.
-            bound = constants.l_inf if self.propensity == 1.0 else constants.l_inf_dr
-            self.ftrl = ftrl_init(k, bound)
+        self.optimizer = optimizer_init(self.method.kind, k, constants, self.propensity < 1.0)
 
     @property
     def k(self) -> int:
@@ -378,10 +372,9 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     scattered = np.zeros(k)
     scattered[survivors] = responses
 
-    method_kind = state.method.kind
     prev_decision = state.decision
 
-    if method_kind is MethodKind.AAGGFF_D and not full_participation:
+    if state.method.kind is MethodKind.AAGGFF_D and not full_participation:
         raw = ResponseVector(values=scattered, observed=observed)
         r_for_loss = dr_response(raw, state.propensity)
         gradient = linearized_grad(r_for_loss, prev_decision, observed_mean)
@@ -392,17 +385,12 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
         gradient = decision_grad(prev_decision, r_for_loss)
     round_loss = decision_loss(prev_decision, r_for_loss)
 
-    if method_kind in BASELINE_KINDS:
+    if state.optimizer is None:
         sizes = np.array([r.sample_count for r in results], dtype=float)
-        coeffs = baseline_coefficients(state.method, sizes, feedbacks)
         new_decision = np.zeros(k)
-        new_decision[survivors] = coeffs
-    elif method_kind is MethodKind.AAGGFF_S:
-        state.ons, new_decision = aaggff_s_step(state.ons, gradient)
-    elif method_kind is MethodKind.AAGGFF_D:
-        state.ftrl, new_decision = aaggff_d_step(state.ftrl, gradient)
+        new_decision[survivors] = baseline_coefficients(state.method, sizes, feedbacks)
     else:
-        raise DomainError(f"unknown aggregation method {method_kind!r}")
+        state.optimizer, new_decision = state.optimizer.step(gradient)
 
     weights = normalize_selected(new_decision, survivors)
     mixed_delta = np.zeros_like(state.params)

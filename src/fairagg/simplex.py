@@ -108,7 +108,7 @@ def minimize_over_simplex(
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise NumericalFailureError("objective or gradient non-finite at start")
 
-    best_p, best_residual = p, kkt_residual(p, g, tol)
+    best_p, best_residual = p, np.inf
     step = 1.0
     prev_p: np.ndarray | None = None
     prev_g: np.ndarray | None = None

@@ -2,6 +2,8 @@
 
 import json
 import math
+from dataclasses import fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -114,6 +116,35 @@ def test_seed_list_violations_rejected():
         parse_config('{"K": 4, "T": 5, "method": "Static", "seeds": [1, "two"]}')
     with pytest.raises(ConfigError, match="seeds"):
         parse_config('{"K": 4, "T": 5, "method": "Static", "seeds": [true]}')
+
+
+def test_negative_seeds_rejected():
+    with pytest.raises(ConfigError, match="seeds"):
+        parse_config('{"K": 4, "T": 5, "method": "Static", "seeds": [3, -1]}')
+
+
+def type_error(field, value):
+    """parse_config's message rejecting ``value`` as the type of ``field``, or None."""
+    doc = {"K": 4, "T": 5, "method": "Static", field.name: value}
+    try:
+        parse_config(json.dumps(doc))
+    except ConfigError as exc:
+        if f"config key '{field.name}' must be {field.type}," in str(exc):
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
+def test_config_key_types_follow_the_dataclass(field):
+    hint = get_type_hints(ExperimentConfig)[field.name]
+    nullable = type(None) in get_args(hint)
+    assert (type_error(field, None) is None) == nullable
+    assert type_error(field, True) is not None
+    base = get_args(hint)[0] if nullable else hint
+    if base is float:
+        assert type_error(field, 4) is None
+    if base is int:
+        assert type_error(field, 4.5) is not None
 
 
 def test_range_violations_rejected():
@@ -284,6 +315,27 @@ def test_main_run_error_paths(tmp_path, capsys):
     good.write_text(MINIMAL)
     assert main(["run", "--config", str(good), "--seeds", "1,zwei"]) == 1
     assert "--seeds" in capsys.readouterr().err
+
+
+def test_main_run_rejects_negative_seed_override(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(MINIMAL)
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(good), "--output", str(out), "--seeds", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seeds" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--clients", "0"), ("--rounds", "abc"), ("--rounds", "0"), ("--rounds", "50,-3")]
+)
+def test_regret_bench_rejects_bad_sizes(flag, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["regret-bench", flag, value])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_main_unify_check(capsys):

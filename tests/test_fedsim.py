@@ -10,7 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairagg.aggregator import AggregatorMethod, MethodKind, normalize_selected
+from fairagg.aggregator import (
+    BASELINE_KINDS,
+    AggregatorMethod,
+    FtrlState,
+    MethodKind,
+    OnsState,
+    aaggff_d_step,
+    aaggff_s_step,
+    baseline_coefficients,
+    ftrl_init,
+    normalize_selected,
+    ons_init,
+)
 from fairagg.errors import DivergenceError, DomainError, InvalidDimensionError
 from fairagg.fedsim import (
     ServerOptKind,
@@ -25,9 +37,21 @@ from fairagg.fedsim import (
 )
 from fairagg.metrics import performance_summary
 from fairagg import fedsim
-from fairagg.decision import dr_response, lipschitz_constants
+from fairagg.decision import (
+    decision_grad,
+    decision_loss,
+    dr_response,
+    linearized_grad,
+    lipschitz_constants,
+)
 from fairagg.modeldata import Dataset, ModelKind, ModelSpec, accuracy, epoch_batches, loss_and_grad, make_synthetic, partition, PartitionScheme, PartitionSpec
-from fairagg.response import CdfFamily, CdfKind, ResponseBounds
+from fairagg.response import (
+    CdfFamily,
+    CdfKind,
+    ResponseBounds,
+    ResponseVector,
+    transform_losses,
+)
 
 BINARY = ModelSpec(ModelKind.LOGISTIC, input_dim=2, num_classes=2)
 TRI = ModelSpec(ModelKind.LOGISTIC, input_dim=2, num_classes=3)
@@ -108,7 +132,7 @@ def test_propensity_is_the_sampled_fraction(monkeypatch):
         bounds=ResponseBounds.cross_silo(7),
     )
     assert state.propensity == 3 / 7
-    assert state.ftrl.l_inf_dr == lipschitz_constants(state.bounds, 3 / 7).l_inf_dr
+    assert state.optimizer.l_inf_dr == lipschitz_constants(state.bounds, 3 / 7).l_inf_dr
     seen = []
 
     def spy(raw, sampling_c):
@@ -559,10 +583,91 @@ def test_clients_without_samples_are_rejected():
 
 def test_adaptive_methods_initialize_their_state():
     s = make_state(MethodKind.AAGGFF_S, shards_for(4))
-    assert s.ons is not None and s.ftrl is None
+    assert isinstance(s.optimizer, OnsState)
     d = make_state(MethodKind.AAGGFF_D, shards_for(4))
-    assert d.ftrl is not None and d.ons is None
+    assert isinstance(d.optimizer, FtrlState)
     # Full participation feeds exact gradients, so the tighter bound applies.
-    assert d.ftrl.l_inf_dr == pytest.approx(0.25 / (1.0 + 0.0))
+    assert d.optimizer.l_inf_dr == pytest.approx(0.25 / (1.0 + 0.0))
     partial = make_state(MethodKind.AAGGFF_D, shards_for(4), sampling_c=0.5)
-    assert partial.ftrl.l_inf_dr == pytest.approx(0.25 + 2 * 0.25 / 0.5)
+    assert partial.optimizer.l_inf_dr == pytest.approx(0.25 + 2 * 0.25 / 0.5)
+    # A closed form keeps no optimizer state.
+    for kind in BASELINE_KINDS:
+        assert make_state(kind, shards_for(4)).optimizer is None
+
+
+def old_dispatch_round(state, t, ons, ftrl):
+    """One round with the per-method dispatch the simulator had before the
+    optimizers shared ``step``: each kind named, each step called directly.
+
+    Returns (sampled, survivors, decision loss, decision, ons, ftrl).
+    """
+    k = state.k
+    rng = np.random.default_rng(
+        np.random.SeedSequence([state.master_seed, fedsim._STREAM_SAMPLING, t])
+    )
+    sampled = sample_clients(k, state.sampling_c, rng)
+    results = fedsim._run_clients(state, t, sampled)
+    survivors = [r.client_id for r in results]
+    feedbacks = np.array([r.feedback_loss for r in results])
+    responses = transform_losses(feedbacks, state.cdf, state.bounds)
+    observed = np.isin(np.arange(k), survivors)
+    scattered = np.zeros(k)
+    scattered[survivors] = responses
+    kind = state.method.kind
+    if kind is MethodKind.AAGGFF_D and len(survivors) < k:
+        r = dr_response(ResponseVector(scattered, observed), state.propensity)
+        gradient = linearized_grad(r, state.decision, float(responses.mean()))
+    else:
+        r = np.where(observed, scattered, float(responses.mean()))
+        gradient = decision_grad(state.decision, r)
+    loss = decision_loss(state.decision, r)
+    if kind in BASELINE_KINDS:
+        sizes = np.array([res.sample_count for res in results], dtype=float)
+        decision = np.zeros(k)
+        decision[survivors] = baseline_coefficients(state.method, sizes, feedbacks)
+    elif kind is MethodKind.AAGGFF_S:
+        ons, decision = aaggff_s_step(ons, gradient)
+    else:
+        ftrl, decision = aaggff_d_step(ftrl, gradient)
+    mixed = np.zeros_like(state.params)
+    for weight, res in zip(normalize_selected(decision, survivors), results):
+        mixed += weight * res.delta
+    state.params = server_apply(state.params, mixed, state.server_opt)
+    state.decision = decision
+    return sampled, survivors, loss, decision, ons, ftrl
+
+
+@pytest.mark.parametrize("kind", list(MethodKind))
+def test_one_step_interface_matches_the_per_method_dispatch(kind):
+    base = make_synthetic(240, 2, 3, seed=4)
+    clients = list(partition(base, PartitionSpec(PartitionScheme.IID, k=6, seed=4)))
+    # Client 2 overflows on its second SGD step whenever it is sampled.
+    clients[2] = Dataset(1e200 * np.ones_like(clients[2].features), clients[2].labels)
+
+    def fresh():
+        return make_state(
+            kind, clients, seed=2, model_spec=TRI, sampling_c=0.5,
+            bounds=ResponseBounds.cross_silo(6),
+        )
+
+    state, reference = fresh(), fresh()
+    constants = lipschitz_constants(reference.bounds, reference.propensity)
+    ons = ons_init(6, constants.l_inf)
+    ftrl = ftrl_init(
+        6, constants.l_inf if reference.propensity == 1.0 else constants.l_inf_dr
+    )
+    dropped = 0
+    for t in range(5):
+        report = run_round(state, t)
+        sampled, survivors, loss, decision, ons, ftrl = old_dispatch_round(
+            reference, t, ons, ftrl
+        )
+        dropped += len(sampled) - len(survivors)
+        assert report.sampled_ids == survivors
+        assert report.decision_loss == loss
+        np.testing.assert_array_equal(report.decision, decision)
+        assert np.all(report.decision >= 0.0)
+        assert report.decision.sum() == pytest.approx(1.0)
+        assert normalize_selected(report.decision, survivors).sum() == pytest.approx(1.0)
+    np.testing.assert_array_equal(state.params, reference.params)
+    assert dropped > 0
