@@ -42,7 +42,6 @@ from .errors import (
     NumericalFailureError,
 )
 from .fedsim import (
-    ClientUpdateResult,
     RoundReport,
     ServerOptKind,
     ServerOptimizer,
@@ -59,7 +58,6 @@ from .modeldata import (
     ModelSpec,
     PartitionScheme,
     PartitionSpec,
-    load_csv_dataset,
     loss_and_grad,
     make_synthetic,
     partition,

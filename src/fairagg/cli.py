@@ -189,9 +189,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("config key 'tilt' must be positive")
     if cfg.bounds_mode == "Explicit" and (cfg.c1 is None or cfg.c2 is None):
         raise ConfigError("bounds_mode 'Explicit' requires config keys 'c1' and 'c2'")
-    # Seeds feed numpy seed sequences, which take nonnegative integers only.
-    if not cfg.seeds or min(cfg.seeds) < 0:
-        raise ConfigError("config key 'seeds' must be a nonempty list of nonnegative integers")
+    # Seeds feed numpy seed sequences, which take nonnegative integers only;
+    # a repeated seed would run again and be reported once.
+    if not cfg.seeds or min(cfg.seeds) < 0 or len(set(cfg.seeds)) < len(cfg.seeds):
+        raise ConfigError(
+            "config key 'seeds' must be a nonempty list of distinct nonnegative integers"
+        )
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -527,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_unify = sub.add_parser("unify-check",
                              help="verify baselines against their one-step EG form")
-    p_unify.add_argument("--instances", type=int, default=100)
+    p_unify.add_argument("--instances", type=_positive_int, default=100)
     p_unify.add_argument("--seed", type=int, default=0)
     p_unify.set_defaults(handler=cmd_unify_check)
     return parser

@@ -44,11 +44,9 @@ class NonConvergenceError(FairaggError, RuntimeError):
 class DivergenceError(FairaggError, ArithmeticError):
     """Local training produced a non-finite loss; carries round context."""
 
-    def __init__(self, message: str, round_index: int | None = None,
-                 client_id: int | None = None):
+    def __init__(self, message: str, round_index: int | None = None):
         super().__init__(message)
         self.round_index = round_index
-        self.client_id = client_id
 
 
 class ConfigError(FairaggError, ValueError):

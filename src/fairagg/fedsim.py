@@ -10,8 +10,10 @@ execution order; deltas are always reduced in ascending client id.  The
 
 The sampled clients train together: their feedback is one grouped loss and
 each local SGD step is one stacked gradient pass over every still-training
-client's minibatch.  A client that diverges is dropped from the round with a
-warning; the round fails only when every sampled client diverged.
+client's minibatch.  ``client_update`` returns arrays over the sampled
+clients: feedback ``(S,)``, deltas ``(S, P)`` and a diverged mask ``(S,)``.
+A diverged client's rows hold no usable values; the round drops it with a
+warning and fails only when every sampled client diverged.
 
 The client shards live in one pooled dataset, concatenated in ascending
 client id, so each round scores every client with a single prediction pass.
@@ -64,16 +66,6 @@ logger = logging.getLogger(__name__)
 # generator as default_rng([seed, TAG, ...]) so streams never collide.
 _STREAM_SAMPLING = 3
 _STREAM_CLIENT = 4
-
-
-@dataclass
-class ClientUpdateResult:
-    """What a client returns: feedback measured before any local step."""
-
-    client_id: int
-    feedback_loss: float
-    delta: np.ndarray  # broadcast parameters minus final local parameters
-    sample_count: int
 
 
 class ServerOptKind(enum.Enum):
@@ -132,9 +124,7 @@ def client_update(
     prox_mu: float,
     weight_decay: float,
     rngs: list[np.random.Generator],
-    client_ids: list[int],
-    round_index: int = -1,
-) -> tuple[list[ClientUpdateResult], list[DivergenceError]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate feedback on the received model, then run local SGD, for
     every client at once.
 
@@ -145,9 +135,12 @@ def client_update(
     ``loss_and_grad`` call over those minibatches stacked together.  With
     prox_mu > 0 every step pulls back toward the received parameters.
 
-    A client whose feedback, loss, gradient or parameters become non-finite
-    stops training and is reported in the second list instead of the first;
-    nothing is raised.  Results keep the order of ``client_ids``.
+    Returns ``(feedback, deltas, diverged)`` in the order of ``shards``: each
+    client's loss on the received model ``(S,)``, the received parameters
+    minus its final local ones ``(S, P)``, and a boolean mask ``(S,)``.  A
+    client whose feedback, loss, gradient or parameters become non-finite
+    stops training and is marked in ``diverged``; nothing is raised, and its
+    rows of ``feedback`` and ``deltas`` must not be used.
     """
     sizes = [len(shard) for shard in shards]
     if 0 in sizes:
@@ -198,26 +191,7 @@ def client_update(
             local[movers[ok]] = stepped[ok]
             diverged[movers[~ok]] = True
 
-    results = [
-        ClientUpdateResult(
-            client_id=client_id,
-            feedback_loss=float(feedback[j]),
-            delta=received - local[j],
-            sample_count=sizes[j],
-        )
-        for j, client_id in enumerate(client_ids)
-        if not diverged[j]
-    ]
-    errors = [
-        DivergenceError(
-            f"non-finite loss or parameters on client {client_id}",
-            round_index=round_index,
-            client_id=client_id,
-        )
-        for j, client_id in enumerate(client_ids)
-        if diverged[j]
-    ]
-    return results, errors
+    return feedback, received - local, diverged
 
 
 def server_apply(
@@ -322,12 +296,15 @@ def _effective_lr(state: SimulationState, t: int) -> float:
     return state.lr * state.lr_decay ** (t // state.decay_step)
 
 
-def _run_clients(
-    state: SimulationState, t: int, sampled: list[int]
-) -> list[ClientUpdateResult]:
-    """Train the sampled clients (ascending id, which fixes the reduction
-    order of their deltas) and drop any that diverged."""
-    results, diverged = client_update(
+def run_round(state: SimulationState, t: int) -> RoundReport:
+    """Advance the simulation by one round and report all intermediates."""
+    k = state.k
+    sampling_rng = np.random.default_rng(
+        np.random.SeedSequence([state.master_seed, _STREAM_SAMPLING, t])
+    )
+    sampled = np.array(sample_clients(k, state.sampling_c, sampling_rng))
+    # Ascending client ids, which fixes the reduction order of the deltas.
+    feedback, deltas, diverged = client_update(
         state.params,
         [state.clients[client_id] for client_id in sampled],
         state.model_spec,
@@ -342,27 +319,14 @@ def _run_clients(
             )
             for client_id in sampled
         ],
-        client_ids=sampled,
-        round_index=t,
     )
-    for error in diverged:
-        logger.warning("dropping diverged client %d in round %d", error.client_id, t)
-    if not results:
+    for client_id in sampled[diverged]:
+        logger.warning("dropping diverged client %d in round %d", client_id, t)
+    survivors = sampled[~diverged]
+    if survivors.size == 0:
         raise DivergenceError(f"every sampled client diverged in round {t}", round_index=t)
-    return results
 
-
-def run_round(state: SimulationState, t: int) -> RoundReport:
-    """Advance the simulation by one round and report all intermediates."""
-    k = state.k
-    sampling_rng = np.random.default_rng(
-        np.random.SeedSequence([state.master_seed, _STREAM_SAMPLING, t])
-    )
-    sampled = sample_clients(k, state.sampling_c, sampling_rng)
-    results = _run_clients(state, t, sampled)
-    survivors = [r.client_id for r in results]
-
-    feedbacks = np.array([r.feedback_loss for r in results])
+    feedbacks = feedback[~diverged]
     responses = transform_losses(feedbacks, state.cdf, state.bounds)
     observed_mean = float(responses.mean())
 
@@ -386,16 +350,16 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     round_loss = decision_loss(prev_decision, r_for_loss)
 
     if state.optimizer is None:
-        sizes = np.array([r.sample_count for r in results], dtype=float)
+        sizes = np.array([len(state.clients[i]) for i in survivors], dtype=float)
         new_decision = np.zeros(k)
         new_decision[survivors] = baseline_coefficients(state.method, sizes, feedbacks)
     else:
         state.optimizer, new_decision = state.optimizer.step(gradient)
 
     weights = normalize_selected(new_decision, survivors)
-    mixed_delta = np.zeros_like(state.params)
-    for weight, result in zip(weights, results):
-        mixed_delta += weight * result.delta
+    # sum(axis=0) adds the rows one after another in client order, a fixed
+    # reduction order; a matrix product may block and reorder the sums.
+    mixed_delta = (weights[:, None] * deltas[~diverged]).sum(axis=0)
 
     state.params = server_apply(state.params, mixed_delta, state.server_opt)
     state.decision = new_decision
@@ -403,7 +367,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     client_accuracy = accuracy(state.model_spec, state.params, state.pool, state.owner)
     return RoundReport(
         round=t,
-        sampled_ids=survivors,
+        sampled_ids=survivors.tolist(),
         mean_feedback=float(feedbacks.mean()),
         decision_loss=round_loss,
         decision=new_decision,

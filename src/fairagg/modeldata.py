@@ -7,7 +7,6 @@ one-hidden-layer MLP with a sigmoid nonlinearity.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
@@ -356,35 +355,6 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     return 0.01 * rng.standard_normal(spec.param_length)
 
 
-def load_csv_dataset(path: str) -> Dataset:
-    """Load a dataset from CSV: header row, numeric features, label last.
-
-    Non-numeric cells are rejected with the offending row number (1-based,
-    counting the header as row 1).
-    """
-    rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DomainError(f"{path}: empty file, expected a header row")
-        width = len(header)
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise DomainError(f"{path}: row {line_no} has {len(row)} cells, expected {width}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise DomainError(f"{path}: row {line_no} has a non-numeric cell") from exc
-    if not rows:
-        raise DomainError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
-    labels = arr[:, -1]
-    if not np.all(labels == np.round(labels)):
-        raise DomainError(f"{path}: labels in the last column must be integers")
-    return Dataset(arr[:, :-1], labels.astype(np.int64))
-
-
 def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     """Yield index arrays covering a shuffled epoch in batches."""
     if batch_size < 1:
@@ -393,15 +363,3 @@ def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
 
-
-def central_train_accuracy(
-    spec: ModelSpec, data: Dataset, lr: float = 0.5, steps: int = 400
-) -> float:
-    """Full-batch gradient descent to (near) convergence; train accuracy."""
-    params = np.zeros(spec.param_length)
-    if spec.kind is ModelKind.MLP:
-        params = init_params(spec, seed=0)
-    for _ in range(steps):
-        _, grad = loss_and_grad(spec, params, data)
-        params = params - lr * grad
-    return accuracy(spec, params, data)

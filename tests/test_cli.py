@@ -123,6 +123,11 @@ def test_negative_seeds_rejected():
         parse_config('{"K": 4, "T": 5, "method": "Static", "seeds": [3, -1]}')
 
 
+def test_duplicate_seeds_rejected():
+    with pytest.raises(ConfigError, match="seeds"):
+        parse_config('{"K": 4, "T": 5, "method": "Static", "seeds": [1, 2, 1]}')
+
+
 def type_error(field, value):
     """parse_config's message rejecting ``value`` as the type of ``field``, or None."""
     doc = {"K": 4, "T": 5, "method": "Static", field.name: value}
@@ -328,6 +333,17 @@ def test_main_run_rejects_negative_seed_override(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_run_rejects_duplicate_seed_override(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(MINIMAL)
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(good), "--output", str(out), "--seeds", "1,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seeds" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--clients", "0"), ("--rounds", "abc"), ("--rounds", "0"), ("--rounds", "50,-3")]
 )
@@ -336,6 +352,14 @@ def test_regret_bench_rejects_bad_sizes(flag, value, capsys):
         main(["regret-bench", flag, value])
     assert excinfo.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_unify_check_rejects_instances_below_one(value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["unify-check", "--instances", value])
+    assert excinfo.value.code == 2
+    assert "argument --instances" in capsys.readouterr().err
 
 
 def test_main_unify_check(capsys):

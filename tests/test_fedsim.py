@@ -150,83 +150,80 @@ def test_propensity_is_the_sampled_fraction(monkeypatch):
 # client updates
 # ---------------------------------------------------------------------------
 
-def update_one(params, data, spec, *, rng, client_id=0, round_index=-1, **kwargs):
-    """client_update on a single client: (results, diverged)."""
-    return client_update(
-        params, [data], spec, rngs=[rng], client_ids=[client_id],
-        round_index=round_index, **kwargs,
-    )
+def update_one(params, data, spec, *, rng, **kwargs):
+    """client_update on a single client: its feedback, delta and diverged flag."""
+    [feedback], [delta], [diverged] = client_update(params, [data], spec, rngs=[rng], **kwargs)
+    return feedback, delta, diverged
 
 
 def test_zero_epochs_leave_parameters_untouched():
     data = make_synthetic(30, 2, 2, seed=1)
-    [out], _ = update_one(
+    feedback, delta, _ = update_one(
         np.zeros(3), data, BINARY, epochs=0, batch_size=10, lr=0.5,
         prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
     )
-    np.testing.assert_array_equal(out.delta, np.zeros(3))
-    assert out.feedback_loss == pytest.approx(math.log(2.0))
-    assert out.sample_count == 30
+    np.testing.assert_array_equal(delta, np.zeros(3))
+    assert feedback == pytest.approx(math.log(2.0))
 
 
 def test_single_sample_one_step_analytic_delta():
     # One sample (x, y=1) from zero parameters: prob 0.5, so the step is
     # lr * [-x/2, -1/2] and the delta its negation.
     data = Dataset(np.array([[2.0, -1.0]]), np.array([1], dtype=np.int64))
-    [out], _ = update_one(
+    feedback, delta, _ = update_one(
         np.zeros(3), data, BINARY, epochs=1, batch_size=1, lr=0.5,
         prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
     )
-    np.testing.assert_allclose(out.delta, [-0.5, 0.25, -0.25])
-    assert out.feedback_loss == pytest.approx(math.log(2.0))
+    np.testing.assert_allclose(delta, [-0.5, 0.25, -0.25])
+    assert feedback == pytest.approx(math.log(2.0))
 
 
 def test_feedback_is_measured_before_training():
     data = make_synthetic(40, 2, 2, seed=2)
-    [out], _ = update_one(
+    feedback, delta, _ = update_one(
         np.zeros(3), data, BINARY, epochs=3, batch_size=10, lr=0.5,
         prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
     )
-    assert out.feedback_loss == pytest.approx(math.log(2.0))
-    assert np.any(out.delta != 0.0)
+    assert feedback == pytest.approx(math.log(2.0))
+    assert np.any(delta != 0.0)
 
 
 def test_prox_pull_is_inactive_on_the_first_step():
     data = make_synthetic(25, 2, 2, seed=3)
     kwargs = dict(epochs=1, batch_size=25, lr=0.3, weight_decay=0.0)
-    [plain], _ = update_one(
+    _, plain, _ = update_one(
         np.zeros(3), data, BINARY, prox_mu=0.0, rng=np.random.default_rng(1), **kwargs
     )
-    [prox], _ = update_one(
+    _, prox, _ = update_one(
         np.zeros(3), data, BINARY, prox_mu=5.0, rng=np.random.default_rng(1), **kwargs
     )
-    np.testing.assert_allclose(prox.delta, plain.delta)
+    np.testing.assert_allclose(prox, plain)
 
 
 def test_prox_shrinks_multi_step_drift():
     # lr * mu stays below the stability threshold so the pull is a contraction.
     data = make_synthetic(50, 2, 2, seed=4)
     kwargs = dict(epochs=5, batch_size=10, lr=0.3, weight_decay=0.0)
-    [plain], _ = update_one(
+    _, plain, _ = update_one(
         np.zeros(3), data, BINARY, prox_mu=0.0, rng=np.random.default_rng(1), **kwargs
     )
-    [prox], _ = update_one(
+    _, prox, _ = update_one(
         np.zeros(3), data, BINARY, prox_mu=1.0, rng=np.random.default_rng(1), **kwargs
     )
-    assert np.linalg.norm(prox.delta) < np.linalg.norm(plain.delta)
+    assert np.linalg.norm(prox) < np.linalg.norm(plain)
 
 
 def test_weight_decay_adds_ridge_pull():
     data = make_synthetic(25, 2, 2, seed=5)
     received = np.array([1.0, -2.0, 0.5])
     kwargs = dict(epochs=1, batch_size=25, lr=0.3, prox_mu=0.0)
-    [plain], _ = update_one(
+    _, plain, _ = update_one(
         received, data, BINARY, weight_decay=0.0, rng=np.random.default_rng(1), **kwargs
     )
-    [decayed], _ = update_one(
+    _, decayed, _ = update_one(
         received, data, BINARY, weight_decay=0.1, rng=np.random.default_rng(1), **kwargs
     )
-    np.testing.assert_allclose(decayed.delta - plain.delta, 0.3 * 0.1 * received, atol=1e-12)
+    np.testing.assert_allclose(decayed - plain, 0.3 * 0.1 * received, atol=1e-12)
 
 
 def test_training_divergence_is_flagged():
@@ -234,44 +231,33 @@ def test_training_divergence_is_flagged():
     # overflowing logits and must be reported as a divergence, not a crash.
     features = 1e200 * np.ones((4, 2))
     data = Dataset(features, np.array([0, 1, 2, 0], dtype=np.int64))
-    results, [error] = update_one(
+    _, _, diverged = update_one(
         np.zeros(TRI.param_length), data, TRI, epochs=2, batch_size=4, lr=10.0,
         prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
-        client_id=7, round_index=3,
     )
-    assert results == []
-    assert isinstance(error, DivergenceError)
-    assert error.client_id == 7
-    assert error.round_index == 3
+    assert diverged
 
 
 def test_parameter_overflow_is_flagged_even_with_finite_loss():
     # Binary logistic clips probabilities, so its loss stays finite; the
     # overflow check on the local iterate must still catch this.
     data = Dataset(np.array([[1e160, 0.0]]), np.array([1], dtype=np.int64))
-    results, [error] = update_one(
+    _, _, diverged = update_one(
         np.zeros(3), data, BINARY, epochs=2, batch_size=1, lr=1e160,
         prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
-        client_id=7, round_index=3,
     )
-    assert results == []
-    assert isinstance(error, DivergenceError)
-    assert error.client_id == 7
-    assert error.round_index == 3
+    assert diverged
 
 
 def test_non_finite_feedback_is_flagged_without_training():
     # Overflowing logits already on the received model: the client is
     # dropped on its feedback even with no local step to take.
     data = Dataset(1e200 * np.ones((3, 2)), np.array([0, 1, 2], dtype=np.int64))
-    results, [error] = update_one(
+    _, _, diverged = update_one(
         np.full(TRI.param_length, 1e200), data, TRI, epochs=0, batch_size=3, lr=0.1,
         prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
-        client_id=7, round_index=3,
     )
-    assert results == []
-    assert error.client_id == 7
-    assert error.round_index == 3
+    assert diverged
 
 
 def test_empty_shard_rejected():
@@ -318,14 +304,13 @@ def random_shards(spec, sizes, rng):
 
 
 def stacked_and_reference(params, shards, spec, seed, **kwargs):
-    ids = list(range(len(shards)))
     stacked = client_update(
-        params, shards, spec, rngs=[np.random.default_rng([seed, i]) for i in ids],
-        client_ids=ids, round_index=0, **kwargs,
+        params, shards, spec,
+        rngs=[np.random.default_rng([seed, i]) for i in range(len(shards))], **kwargs,
     )
     reference = [
         per_client_update(params, shard, spec, rng=np.random.default_rng([seed, i]), **kwargs)
-        for i, shard in zip(ids, shards)
+        for i, shard in enumerate(shards)
     ]
     return stacked, reference
 
@@ -346,16 +331,16 @@ def test_stacked_update_matches_per_client_loop(
     rng = np.random.default_rng(seed)
     shards = random_shards(spec, sizes, rng)
     params = 0.5 * rng.standard_normal(spec.param_length)
-    (results, diverged), reference = stacked_and_reference(
+    (feedback, deltas, diverged), reference = stacked_and_reference(
         params, shards, spec, seed, epochs=epochs, batch_size=batch_size, lr=0.2,
         prox_mu=prox_mu, weight_decay=weight_decay,
     )
-    assert diverged == []
-    assert [r.client_id for r in results] == list(range(len(sizes)))
-    for result, size, (feedback, delta) in zip(results, sizes, reference):
-        assert result.sample_count == size
-        assert abs(result.feedback_loss - feedback) <= 1e-12
-        np.testing.assert_allclose(result.delta, delta, rtol=0.0, atol=1e-12)
+    assert not diverged.any()
+    assert feedback.shape == diverged.shape == (len(sizes),)
+    assert deltas.shape == (len(sizes), spec.param_length)
+    for stacked_feedback, delta, (ref_feedback, ref_delta) in zip(feedback, deltas, reference):
+        assert abs(stacked_feedback - ref_feedback) <= 1e-12
+        np.testing.assert_allclose(delta, ref_delta, rtol=0.0, atol=1e-12)
 
 
 def test_one_diverging_client_leaves_the_others_untouched():
@@ -366,23 +351,21 @@ def test_one_diverging_client_leaves_the_others_untouched():
     # Client 1's first step is finite; its second, mid-epoch, overflows.
     bad = list(shards)
     bad[1] = Dataset(1e200 * np.ones_like(shards[1].features), shards[1].labels)
-    (results, [error]), reference = stacked_and_reference(params, bad, TRI, 5, **kwargs)
+    (feedback, deltas, diverged), reference = stacked_and_reference(params, bad, TRI, 5, **kwargs)
     assert reference[1] is None
-    assert error.client_id == 1 and error.round_index == 0
-    assert [r.client_id for r in results] == [0, 2, 3]
+    assert diverged.tolist() == [False, True, False, False]
 
-    # The same clients without the bad one, at the same client ids.
+    # The same clients without the bad one, with the same generators.
     kept = [0, 2, 3]
-    alone, diverged = client_update(
+    alone_feedback, alone_deltas, alone_diverged = client_update(
         params, [shards[i] for i in kept], TRI,
-        rngs=[np.random.default_rng([5, i]) for i in kept], client_ids=kept, **kwargs,
+        rngs=[np.random.default_rng([5, i]) for i in kept], **kwargs,
     )
-    assert diverged == []
-    for with_bad, without in zip(results, alone):
-        np.testing.assert_array_equal(with_bad.delta, without.delta)
-        assert abs(with_bad.feedback_loss - without.feedback_loss) <= 1e-12
-    for result, i in zip(results, kept):
-        np.testing.assert_allclose(result.delta, reference[i][1], rtol=0.0, atol=1e-12)
+    assert not alone_diverged.any()
+    np.testing.assert_array_equal(deltas[kept], alone_deltas)
+    np.testing.assert_allclose(feedback[kept], alone_feedback, rtol=0.0, atol=1e-12)
+    for delta, i in zip(deltas[kept], kept):
+        np.testing.assert_allclose(delta, reference[i][1], rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +471,16 @@ def test_diverged_client_is_dropped_with_warning(caplog):
     assert report.sampled_ids == [0, 2]
     assert report.decision[1] == 0.0
     assert report.decision.sum() == pytest.approx(1.0)
-    assert any("dropping diverged client 1" in r.message for r in caplog.records)
+    assert [r.getMessage() for r in caplog.records] == ["dropping diverged client 1 in round 0"]
 
 
 def test_all_clients_diverging_aborts_the_round():
     base = make_synthetic(30, 2, 3, seed=7)
     clients = [Dataset(1e200 * np.ones_like(base.features), base.labels)]
     state = make_state(MethodKind.STATIC, clients, model_spec=TRI, lr=10.0, epochs=2, batch_size=15)
-    with pytest.raises(DivergenceError):
-        run_round(state, 0)
+    with pytest.raises(DivergenceError) as excinfo:
+        run_round(state, 3)
+    assert excinfo.value.round_index == 3
 
 
 def test_zero_learning_rate_freezes_the_model():
@@ -606,9 +590,19 @@ def old_dispatch_round(state, t, ons, ftrl):
         np.random.SeedSequence([state.master_seed, fedsim._STREAM_SAMPLING, t])
     )
     sampled = sample_clients(k, state.sampling_c, rng)
-    results = fedsim._run_clients(state, t, sampled)
-    survivors = [r.client_id for r in results]
-    feedbacks = np.array([r.feedback_loss for r in results])
+    feedback, deltas, diverged = client_update(
+        state.params, [state.clients[i] for i in sampled], state.model_spec,
+        epochs=state.epochs, batch_size=state.batch_size, lr=_effective_lr(state, t),
+        prox_mu=state.prox_mu, weight_decay=state.weight_decay,
+        rngs=[
+            np.random.default_rng(
+                np.random.SeedSequence([state.master_seed, fedsim._STREAM_CLIENT, t, i])
+            )
+            for i in sampled
+        ],
+    )
+    survivors = [i for i, bad in zip(sampled, diverged) if not bad]
+    feedbacks = feedback[~diverged]
     responses = transform_losses(feedbacks, state.cdf, state.bounds)
     observed = np.isin(np.arange(k), survivors)
     scattered = np.zeros(k)
@@ -622,7 +616,7 @@ def old_dispatch_round(state, t, ons, ftrl):
         gradient = decision_grad(state.decision, r)
     loss = decision_loss(state.decision, r)
     if kind in BASELINE_KINDS:
-        sizes = np.array([res.sample_count for res in results], dtype=float)
+        sizes = np.array([len(state.clients[i]) for i in survivors], dtype=float)
         decision = np.zeros(k)
         decision[survivors] = baseline_coefficients(state.method, sizes, feedbacks)
     elif kind is MethodKind.AAGGFF_S:
@@ -630,8 +624,8 @@ def old_dispatch_round(state, t, ons, ftrl):
     else:
         ftrl, decision = aaggff_d_step(ftrl, gradient)
     mixed = np.zeros_like(state.params)
-    for weight, res in zip(normalize_selected(decision, survivors), results):
-        mixed += weight * res.delta
+    for weight, delta in zip(normalize_selected(decision, survivors), deltas[~diverged]):
+        mixed += weight * delta
     state.params = server_apply(state.params, mixed, state.server_opt)
     state.decision = decision
     return sampled, survivors, loss, decision, ons, ftrl
@@ -671,3 +665,30 @@ def test_one_step_interface_matches_the_per_method_dispatch(kind):
         assert normalize_selected(report.decision, survivors).sum() == pytest.approx(1.0)
     np.testing.assert_array_equal(state.params, reference.params)
     assert dropped > 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    kind=st.sampled_from(list(MethodKind)),
+    k=st.integers(4, 8),
+    c=st.sampled_from([0.5, 0.6, 0.75, 0.9]),
+    bad=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rounds_stay_on_the_simplex_and_drop_the_diverging_client(kind, k, c, bad, seed):
+    bad %= k
+    data = make_synthetic(40 * k, 2, 3, seed=1)
+    clients = list(partition(data, PartitionSpec(PartitionScheme.IID, k=k, seed=1)))
+    # The bad client overflows on its second SGD step whenever it is sampled.
+    clients[bad] = Dataset(1e200 * np.ones_like(clients[bad].features), clients[bad].labels)
+    state = make_state(
+        kind, clients, seed=seed, model_spec=TRI, sampling_c=c,
+        bounds=ResponseBounds.cross_silo(k),
+    )
+    for t in range(4):
+        report = run_round(state, t)
+        assert np.all(report.decision >= 0.0)
+        assert report.decision.sum() == pytest.approx(1.0)
+        assert normalize_selected(report.decision, report.sampled_ids).sum() == pytest.approx(1.0)
+        assert report.sampled_ids == sorted(set(report.sampled_ids))
+        assert bad not in report.sampled_ids

@@ -20,11 +20,9 @@ from fairagg.modeldata import (
     PartitionScheme,
     PartitionSpec,
     accuracy,
-    central_train_accuracy,
     epoch_batches,
     group_loss,
     init_params,
-    load_csv_dataset,
     loss_and_grad,
     make_synthetic,
     partition,
@@ -34,6 +32,17 @@ from fairagg.modeldata import (
 BINARY = ModelSpec(ModelKind.LOGISTIC, input_dim=2, num_classes=2)
 MULTI = ModelSpec(ModelKind.LOGISTIC, input_dim=3, num_classes=4)
 MLP = ModelSpec(ModelKind.MLP, input_dim=2, num_classes=3, hidden=5)
+
+
+def central_train_accuracy(spec, data, lr=0.5, steps=400):
+    """Full-batch gradient descent to (near) convergence; train accuracy."""
+    params = np.zeros(spec.param_length)
+    if spec.kind is ModelKind.MLP:
+        params = init_params(spec, seed=0)
+    for _ in range(steps):
+        _, grad = loss_and_grad(spec, params, data)
+        params = params - lr * grad
+    return accuracy(spec, params, data)
 
 
 # ---------------------------------------------------------------------------
@@ -310,41 +319,8 @@ def test_model_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# CSV loading and batching
+# batching
 # ---------------------------------------------------------------------------
-
-def test_csv_round_trip(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("x0,x1,label\n0.5,1.5,0\n-1.0,2.0,1\n")
-    data = load_csv_dataset(str(path))
-    np.testing.assert_allclose(data.features, [[0.5, 1.5], [-1.0, 2.0]])
-    np.testing.assert_array_equal(data.labels, [0, 1])
-    assert data.labels.dtype == np.int64
-
-
-def test_csv_reports_offending_row(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x0,x1,label\n0.5,1.5,0\noops,2.0,1\n")
-    with pytest.raises(DomainError, match="row 3"):
-        load_csv_dataset(str(path))
-
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("x0,x1,label\n0.5,1.5\n")
-    with pytest.raises(DomainError, match="row 2"):
-        load_csv_dataset(str(ragged))
-
-
-def test_csv_rejects_header_only_and_fractional_labels(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("x0,x1,label\n")
-    with pytest.raises(DomainError, match="no data rows"):
-        load_csv_dataset(str(empty))
-
-    frac = tmp_path / "frac.csv"
-    frac.write_text("x0,x1,label\n0.5,1.5,0.25\n")
-    with pytest.raises(DomainError, match="integers"):
-        load_csv_dataset(str(frac))
-
 
 def test_epoch_batches_cover_every_index_once():
     rng = np.random.default_rng(31)
