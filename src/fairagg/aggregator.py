@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .decision import LipschitzConstants
+from .decision import lipschitz_constants
 from .errors import DomainError, InvalidDimensionError, NumericalFailureError
+from .response import ResponseBounds
 from .simplex import project_generalized, uniform_decision
 
 logger = logging.getLogger(__name__)
@@ -156,11 +157,6 @@ class OnsState:
     beta: float
     last_decision: np.ndarray
     inv: np.ndarray
-    updates_since_refactor: int = 0
-
-    @property
-    def k(self) -> int:
-        return self.grad_sum.size
 
     def step(self, gradient: np.ndarray) -> tuple[OnsState, np.ndarray]:
         return aaggff_s_step(self, gradient)
@@ -200,10 +196,6 @@ def aaggff_s_step(
     if g.shape != state.grad_sum.shape:
         raise InvalidDimensionError("gradient length does not match state")
 
-    if state.k == 1:
-        new_state = replace(state, round=state.round + 1, grad_sum=state.grad_sum + g)
-        return new_state, np.array([1.0])
-
     grad_sum = state.grad_sum + g
     # einsum forms an outer product several times faster than np.outer's
     # broadcast multiply, with the same values; scaling and summing in place
@@ -213,10 +205,8 @@ def aaggff_s_step(
     mat += state.mat
     rhs = state.rhs + state.beta * float(g @ state.last_decision) * g
 
-    updates = state.updates_since_refactor + 1
-    if updates >= REFACTOR_EVERY:
+    if (state.round + 1) % REFACTOR_EVERY == 0:
         inv = np.linalg.inv(mat)
-        updates = 0
     else:
         # Rank-1 inverse update for mat + beta g g^T.
         iv = state.inv @ g
@@ -241,7 +231,6 @@ def aaggff_s_step(
         beta=state.beta,
         last_decision=decision,
         inv=inv,
-        updates_since_refactor=updates,
     )
     return new_state, decision
 
@@ -263,10 +252,6 @@ class FtrlState:
     cum_grad: np.ndarray
     l_inf_dr: float
 
-    @property
-    def k(self) -> int:
-        return self.cum_grad.size
-
     def step(self, gradient: np.ndarray) -> tuple[FtrlState, np.ndarray]:
         return aaggff_d_step(self, gradient)
 
@@ -282,8 +267,6 @@ def ftrl_init(k: int, l_inf_dr: float) -> FtrlState:
 def ftrl_decision(cum_grad: np.ndarray, rounds_seen: int, l_inf_dr: float) -> np.ndarray:
     """Softmax decision for the accumulated gradient after ``rounds_seen`` rounds."""
     k = cum_grad.size
-    if k == 1:
-        return np.array([1.0])
     exponent = -np.sqrt(np.log(k)) * cum_grad / (l_inf_dr * np.sqrt(rounds_seen + 1.0))
     weights = np.exp(exponent - exponent.max())
     return weights / weights.sum()
@@ -306,15 +289,16 @@ def aaggff_d_step(
 
 
 def optimizer_init(
-    kind: MethodKind, k: int, constants: LipschitzConstants, sampled: bool
+    kind: MethodKind, k: int, bounds: ResponseBounds, propensity: float
 ) -> OnsState | FtrlState | None:
     """Fresh optimizer of an adaptive method, sized by the bound of the
-    gradients it is fed (doubly-robust ones for AAggFFD under sampling);
-    None for a closed-form baseline."""
+    gradients it is fed: doubly-robust ones for AAggFFD when each client is
+    sampled with ``propensity`` below one.  None for a closed-form baseline."""
+    constants = lipschitz_constants(bounds, propensity)
     if kind is MethodKind.AAGGFF_S:
         return ons_init(k, constants.l_inf)
     if kind is MethodKind.AAGGFF_D:
-        return ftrl_init(k, constants.l_inf_dr if sampled else constants.l_inf)
+        return ftrl_init(k, constants.l_inf_dr if propensity < 1.0 else constants.l_inf)
     return None
 
 

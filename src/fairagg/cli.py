@@ -33,7 +33,7 @@ from .aggregator import (
     eg_unified_step,
     optimizer_init,
 )
-from .decision import decision_grad, lipschitz_constants
+from .decision import decision_grad
 from .errors import ConfigError, FairaggError
 from .fedsim import (
     RoundReport,
@@ -233,7 +233,7 @@ def resolve_method(cfg: ExperimentConfig) -> AggregatorMethod:
     )
 
 
-def build_state(cfg: ExperimentConfig, seed: int, threads: int = 1) -> SimulationState:
+def build_state(cfg: ExperimentConfig, seed: int) -> SimulationState:
     dataset = make_synthetic(cfg.num_samples, cfg.input_dim, cfg.num_classes, seed)
     spec = ModelSpec(
         kind=ModelKind(cfg.model),
@@ -275,7 +275,6 @@ def build_state(cfg: ExperimentConfig, seed: int, threads: int = 1) -> Simulatio
         prox_mu=cfg.prox_mu,
         weight_decay=cfg.weight_decay,
         server_opt=server,
-        threads=threads,
     )
 
 
@@ -331,12 +330,13 @@ def write_results(
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
-    """Run every configured seed and persist results; 0 on success."""
+    """Run every configured seed in turn and persist results; 0 on success.
+    ``threads`` is accepted for compatibility and never affects results."""
     try:
         reports_by_seed: dict[int, list[RoundReport]] = {}
         summaries: dict[int, PerformanceSummary] = {}
         for seed in cfg.seeds:
-            state = build_state(cfg, seed, threads=threads)
+            state = build_state(cfg, seed)
             reports = [run_round(state, t) for t in range(cfg.T)]
             reports_by_seed[seed] = reports
             summaries[seed] = reports[-1].summary
@@ -373,8 +373,7 @@ def sequence_regret(method: str, responses: np.ndarray, c2: float) -> float:
     if kind is None:
         raise ValueError(f"unknown method {method!r}")
     rounds, k = responses.shape
-    constants = lipschitz_constants(ResponseBounds(0.0, c2), 1.0)
-    optimizer = optimizer_init(kind, k, constants, sampled=False)
+    optimizer = optimizer_init(kind, k, ResponseBounds(0.0, c2), 1.0)
     decision = uniform_decision(k)
     decisions = []
     for t in range(rounds):
@@ -407,8 +406,12 @@ def cmd_regret_bench(args: argparse.Namespace) -> int:
             lines.append(f"{label},{horizon},{_fmt(regret)},{_fmt(bound)}")
     if args.output:
         out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "regret_bench.csv").write_text("\n".join(lines) + "\n")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "regret_bench.csv").write_text("\n".join(lines) + "\n")
+        except OSError as exc:
+            print(f"error: failed writing results under {out}: {exc}", file=sys.stderr)
+            return 1
     return 0 if ok else 1
 
 
@@ -487,15 +490,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     return run_experiment(cfg, threads=args.threads)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -524,14 +536,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--rounds", type=_positive_ints, default="100,500,2000",
                          help="comma-separated horizons")
     p_bench.add_argument("--clients", type=_positive_int, default=8)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
     p_bench.add_argument("--output", default=None, help="optional CSV output directory")
     p_bench.set_defaults(handler=cmd_regret_bench)
 
     p_unify = sub.add_parser("unify-check",
                              help="verify baselines against their one-step EG form")
     p_unify.add_argument("--instances", type=_positive_int, default=100)
-    p_unify.add_argument("--seed", type=int, default=0)
+    p_unify.add_argument("--seed", type=_int_at_least(0), default=0)
     p_unify.set_defaults(handler=cmd_unify_check)
     return parser
 

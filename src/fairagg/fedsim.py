@@ -5,8 +5,7 @@ train locally, turn feedbacks into bounded responses, step the aggregator,
 renormalize the decision over the sampled set, mix the deltas, and apply the
 server optimizer.  The master seed fans out to per-round and per-client
 substreams through seed sequences, so results never depend on client
-execution order; deltas are always reduced in ascending client id.  The
-``threads`` setting is accepted for compatibility and never affects results.
+execution order; deltas are always reduced in ascending client id.
 
 The sampled clients train together: their feedback is one grouped loss and
 each local SGD step is one stacked gradient pass over every still-training
@@ -40,13 +39,7 @@ from .aggregator import (
     normalize_selected,
     optimizer_init,
 )
-from .decision import (
-    decision_grad,
-    decision_loss,
-    dr_response,
-    linearized_grad,
-    lipschitz_constants,
-)
+from .decision import decision_grad, decision_loss, dr_response, linearized_grad
 from .errors import DivergenceError, DomainError, InvalidDimensionError
 from .metrics import PerformanceSummary, performance_summary
 from .modeldata import (
@@ -99,12 +92,13 @@ class ServerOptimizer:
 
 
 def sample_size(k: int, c: float) -> int:
-    """Clients sampled per round: max(1, floor(c*k)) of k."""
+    """Clients sampled per round: max(1, floor(c*k)) of k, with c*k rounded to 9
+    decimals first so that 0.29 * 100 = 28.999999999999996 samples 29."""
     if k < 1:
         raise InvalidDimensionError("need at least one client")
     if not (0.0 < c <= 1.0):
         raise DomainError(f"sampling fraction must be in (0,1], got {c}")
-    return max(1, int(np.floor(c * k)))
+    return max(1, int(np.floor(round(c * k, 9))))
 
 
 def sample_clients(k: int, c: float, rng: np.random.Generator) -> list[int]:
@@ -255,7 +249,6 @@ class SimulationState:
     prox_mu: float
     weight_decay: float
     server_opt: ServerOptimizer
-    threads: int = 1  # accepted for compatibility; clients train in one thread
     decision: np.ndarray = field(default=None)  # type: ignore[assignment]
     # The adaptive method's optimizer; None for a closed-form baseline.
     optimizer: OnsState | FtrlState | None = field(init=False)
@@ -284,8 +277,7 @@ class SimulationState:
         if self.decision is None:
             self.decision = uniform_decision(k)
         self.propensity = sample_size(k, self.sampling_c) / k
-        constants = lipschitz_constants(self.bounds, self.propensity)
-        self.optimizer = optimizer_init(self.method.kind, k, constants, self.propensity < 1.0)
+        self.optimizer = optimizer_init(self.method.kind, k, self.bounds, self.propensity)
 
     @property
     def k(self) -> int:

@@ -76,13 +76,11 @@ def cumulative_regret(
     k = decisions[0].size
     resp = np.stack(responses)
 
-    def objective(p: np.ndarray) -> float:
-        return -float(np.sum(np.log1p(resp @ p)))
+    def fun(p: np.ndarray) -> tuple[float, np.ndarray]:
+        rp = resp @ p
+        return -float(np.sum(np.log1p(rp))), -(resp / (1.0 + rp)[:, None]).sum(axis=0)
 
-    def gradient(p: np.ndarray) -> np.ndarray:
-        return -(resp / (1.0 + resp @ p)[:, None]).sum(axis=0)
-
-    hindsight = minimize_over_simplex(objective, gradient, k, tol=tol)
+    hindsight = minimize_over_simplex(fun, k, tol=tol)
     incurred = sum(decision_loss(p, r) for p, r in zip(decisions, responses))
-    regret = incurred - objective(hindsight)
+    regret = incurred - fun(hindsight)[0]
     return float(regret), hindsight

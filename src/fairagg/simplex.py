@@ -1,9 +1,11 @@
 """Probability-simplex arithmetic and constrained minimization.
 
 The general solver is a projected-gradient loop with backtracking line
-search.  Convergence is judged by the KKT residual, not objective decrease, so
-the returned point is directly checkable: every coordinate carrying mass must
-see a gradient entry within ``tol`` of the smallest one.
+search.  It reads one oracle that returns the value and the gradient
+together, so a caller forms their shared products once per point.
+Convergence is judged by the KKT residual, not objective decrease, so the
+returned point is directly checkable: every coordinate carrying mass must see
+a gradient entry within ``tol`` of the smallest one.
 
 The projection in the metric of a positive definite matrix is solved exactly
 by an active-set method on the matrix inverse.  The projected-gradient loop
@@ -85,8 +87,7 @@ def kkt_residual(p: np.ndarray, grad: np.ndarray, active_tol: float) -> float:
 
 
 def minimize_over_simplex(
-    objective: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
     k: int,
     tol: float = DEFAULT_TOL,
     max_iterations: int = MAX_ITERATIONS,
@@ -94,17 +95,23 @@ def minimize_over_simplex(
 ) -> np.ndarray:
     """Minimize a convex differentiable objective over the simplex.
 
-    Projected gradient with backtracking line search.  Candidates whose
-    objective evaluates non-finite are rejected by the line search (the
-    barrier-style objectives used for oracles rely on this); a non-finite
-    value at an accepted iterate raises NumericalFailureError.
+    Projected gradient with backtracking line search over one oracle:
+    ``fun(p)`` returns the objective value and its gradient at ``p``, and is
+    called once per point (the start and each line-search candidate).  The
+    value may be non-finite at a candidate, which the line search then
+    rejects without reading its gradient (barrier-style objectives such as a
+    bare negative entropy rely on this).  At the start and at every accepted
+    candidate both must be finite, or NumericalFailureError is raised.  The
+    KKT residual is checked at the start and after each of up to
+    ``max_iterations`` steps; if none meets ``tol``, NonConvergenceError
+    carries the best iterate.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     p = uniform_decision(k) if start is None else np.asarray(start, dtype=float).copy()
 
-    f = float(objective(p))
-    g = np.asarray(gradient(p), dtype=float)
+    f, g = fun(p)
+    f, g = float(f), np.asarray(g, dtype=float)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise NumericalFailureError("objective or gradient non-finite at start")
 
@@ -117,12 +124,14 @@ def minimize_over_simplex(
     # objective itself, and a strictly monotone test would deadlock there even
     # though the (well-conditioned) gradient residual can still improve.
     recent_f = deque([f], maxlen=10)
-    for _ in range(max_iterations):
+    for iteration in range(max_iterations + 1):
         residual = kkt_residual(p, g, tol)
         if residual < best_residual:
             best_p, best_residual = p, residual
         if residual <= tol:
             return p
+        if iteration == max_iterations:
+            break
 
         # Spectral (Barzilai-Borwein) initial step adapts to local curvature;
         # backtracking below keeps it safe.
@@ -136,18 +145,16 @@ def minimize_over_simplex(
 
         f_ref = max(recent_f)
         noise = 64.0 * np.finfo(float).eps * max(1.0, abs(f_ref))
-        accepted = False
         while trial >= _MIN_STEP:
             candidate = project_to_simplex(p - trial * g)
-            direction = candidate - p
-            decrease = _ARMIJO_C * float(g @ direction)
-            f_candidate = float(objective(candidate))
+            decrease = _ARMIJO_C * float(g @ (candidate - p))
+            f_candidate, g_candidate = fun(candidate)
+            f_candidate = float(f_candidate)
             # A NaN/inf candidate value fails this comparison and is rejected.
             if f_candidate <= f_ref + decrease + noise:
-                accepted = True
                 break
             trial *= _SHRINK
-        if not accepted:
+        else:
             # Stalled at machine precision without meeting tol.
             raise NonConvergenceError(
                 "line search stalled before reaching the requested tolerance",
@@ -156,18 +163,12 @@ def minimize_over_simplex(
             )
 
         prev_p, prev_g = p, g
-        p, f = candidate, f_candidate
+        p, f, g = candidate, f_candidate, np.asarray(g_candidate, dtype=float)
         recent_f.append(f)
-        g = np.asarray(gradient(p), dtype=float)
         if not np.isfinite(f) or not np.all(np.isfinite(g)):
             raise NumericalFailureError("objective or gradient non-finite at iterate")
         step = trial
 
-    residual = kkt_residual(p, g, tol)
-    if residual <= tol:
-        return p
-    if residual < best_residual:
-        best_p, best_residual = p, residual
     raise NonConvergenceError(
         f"iteration cap {max_iterations} exceeded (residual {best_residual:.3e})",
         best_iterate=best_p,
@@ -236,8 +237,9 @@ def project_generalized(
     """Projection onto the simplex in the metric of a positive definite matrix.
 
     Returns argmin over the simplex of (p-q)^T B (p-q).  A feasible ``q`` is
-    returned unchanged.  ``b_inv`` is the inverse of ``b`` when the caller
-    already keeps one; without it the inverse is computed here.
+    returned unchanged, and a single coordinate always gives exactly [1].
+    ``b_inv`` is the inverse of ``b`` when the caller already keeps one;
+    without it the inverse is computed here.
 
     The minimizer is solved exactly by an active-set method on ``b_inv``,
     cleaned onto the simplex, and handed as the start to
@@ -257,15 +259,15 @@ def project_generalized(
         raise InvalidDimensionError(
             f"inverse shape {np.shape(b_inv)} does not match metric shape {b.shape}"
         )
+    if q.size == 1:
+        return np.ones(1)
     if is_decision(q):
         return q.copy()
 
-    def objective(p: np.ndarray) -> float:
+    def fun(p: np.ndarray) -> tuple[float, np.ndarray]:
         d = p - q
-        return float(d @ b @ d)
-
-    def gradient(p: np.ndarray) -> np.ndarray:
-        return 2.0 * (b @ (p - q))
+        bd = b @ d
+        return float(d @ bd), 2.0 * bd
 
     try:
         inverse = np.linalg.inv(b) if b_inv is None else np.asarray(b_inv, dtype=float)
@@ -275,4 +277,4 @@ def project_generalized(
     # Without a usable inverse, start from the Euclidean projection; it is
     # feasible and close for well-conditioned metrics.
     start = project_to_simplex(q if exact is None else exact)
-    return minimize_over_simplex(objective, gradient, q.size, tol=tol, start=start)
+    return minimize_over_simplex(fun, q.size, tol=tol, start=start)

@@ -189,7 +189,9 @@ def test_criterion_04_closed_form_matches_argmin():
             with np.errstate(divide="ignore"):
                 return cum + zeta * (1.0 + np.log(p))
 
-        numeric = minimize_over_simplex(objective, gradient, k, tol=1e-10)
+        numeric = minimize_over_simplex(
+            lambda p: (objective(p), gradient(p)), k, tol=1e-10
+        )
         closed = ftrl_decision(cum, rounds_seen, l_inf_dr)
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
     elapsed = time.perf_counter() - start

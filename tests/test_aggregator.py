@@ -181,6 +181,22 @@ def test_ons_single_client_stays_degenerate():
     assert state.round == 1
 
 
+@pytest.mark.parametrize("l_inf, gradient", [(1.0, -1.0), (0.2, -0.01), (0.5, None)])
+def test_single_client_optimizers_always_emit_one(l_inf, gradient):
+    # Both optimizers take their general path, across two inverse rebuilds,
+    # and give exactly [1.0].  The constant streams put the unconstrained
+    # ONS minimizer within rounding of 1 (rounds 4 and 80).
+    rng = np.random.default_rng(2)
+    ons, ftrl = ons_init(1, l_inf), ftrl_init(1, l_inf)
+    for _ in range(130):
+        g = rng.uniform(-l_inf, 0.0, size=1) if gradient is None else np.array([gradient])
+        ons, p_s = aaggff_s_step(ons, g)
+        ftrl, p_d = aaggff_d_step(ftrl, g)
+        np.testing.assert_array_equal(p_s, [1.0])
+        np.testing.assert_array_equal(p_d, [1.0])
+    assert ons.round == ftrl.round == 130
+
+
 def test_ons_one_step_hand_solved_quadratic():
     # alpha = 4, beta = 0.5; gradient [-0.9, -0.1] at the uniform start gives
     # the segment objective derivative f'(x) = 8.32 x - 4.96 for p = (x, 1-x),
@@ -241,20 +257,46 @@ def test_ons_inverse_tracks_matrix():
     np.testing.assert_allclose(state.inv @ state.mat, np.eye(3), atol=1e-8)
 
 
+def test_ons_inverse_is_rebuilt_every_refactor_rounds():
+    # The rebuild after rounds 64 and 128 is np.linalg.inv(mat) itself; the
+    # rank-1 updates in between track it only up to rounding.
+    rng = np.random.default_rng(13)
+    state = ons_init(6, 0.2)
+    exact = {}
+    for _ in range(128):
+        state, _ = aaggff_s_step(state, rng.uniform(-0.2, 0.0, size=6))
+        exact[state.round] = np.array_equal(state.inv, np.linalg.inv(state.mat))
+    assert exact[64] and exact[128]
+    assert not exact[63]
+
+
 def test_ons_projection_is_exact_without_line_search():
     # The regret-bench stream at K=200: every decision is a metric projection
     # solved from the tracked inverse.  The certifying solver then accepts it
     # at iteration 0, so the only Euclidean projection is the one cleaning
-    # the exact point; any line-search step would add more.
+    # the exact point, and one oracle call gives both value and gradient;
+    # any line-search step would add more of each.
     k, rounds = 200, 300
     c2 = 1.0 / k
     responses = synthetic_responses(k, rounds, c2, seed=0)
     state = ons_init(k, lipschitz_constants(ResponseBounds(0.0, c2), 1.0).l_inf)
     decision = state.last_decision
+    solve = simplex.minimize_over_simplex
+    oracle_calls = []
+
+    def counting_solve(fun, *args, **kwargs):
+        oracle_calls.append(0)
+
+        def counted(p):
+            oracle_calls[-1] += 1
+            return fun(p)
+
+        return solve(counted, *args, **kwargs)
+
     with mock.patch.object(
         simplex, "project_to_simplex", wraps=simplex.project_to_simplex
     ) as euclidean, mock.patch.object(
-        simplex, "minimize_over_simplex", wraps=simplex.minimize_over_simplex
+        simplex, "minimize_over_simplex", side_effect=counting_solve
     ) as certifier:
         for response in responses:
             state, decision = aaggff_s_step(state, decision_grad(decision, response))
@@ -262,6 +304,7 @@ def test_ons_projection_is_exact_without_line_search():
             assert kkt_residual(decision, surrogate_grad, active_tol=1e-12) <= 1e-7
     assert euclidean.call_count == rounds
     assert certifier.call_count == rounds
+    assert oracle_calls == [1] * rounds
 
 
 def test_ons_rejects_mismatched_gradient():
@@ -329,7 +372,9 @@ def test_ftrl_closed_form_matches_numeric_argmin():
             with np.errstate(divide="ignore"):
                 return cum + zeta * (1.0 + np.log(p))
 
-        numeric = minimize_over_simplex(objective, gradient, k, tol=1e-10)
+        numeric = minimize_over_simplex(
+            lambda p: (objective(p), gradient(p)), k, tol=1e-10
+        )
         closed = ftrl_decision(cum, rounds_seen, l_inf_dr)
         np.testing.assert_allclose(closed, numeric, atol=1e-6)
 

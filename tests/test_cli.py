@@ -362,6 +362,26 @@ def test_unify_check_rejects_instances_below_one(value, capsys):
     assert "argument --instances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["regret-bench", "unify-check"])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--seed", "-1"])
+    assert excinfo.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+
+
+def test_regret_bench_unwritable_output_fails_cleanly(tmp_path, capsys):
+    blocker = tmp_path / "blocked"
+    blocker.write_text("a file, not a directory")
+    code = main([
+        "regret-bench", "--rounds", "20", "--clients", "4",
+        "--output", str(blocker / "sub"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_main_unify_check(capsys):
     assert main(["unify-check", "--instances", "20", "--seed", "3"]) == 0
     out = capsys.readouterr().out

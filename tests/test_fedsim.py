@@ -102,6 +102,15 @@ def test_sample_size_and_ordering():
     assert len(sample_clients(7, 0.01, rng)) == 1
 
 
+@pytest.mark.parametrize(
+    "k, c, expected",
+    [(100, 0.29, 29), (50, 0.58, 29), (200, 0.57, 114), (7, 0.5, 3), (1000, 0.02, 20)],
+)
+def test_sample_size_ignores_float_rounding(k, c, expected):
+    # 0.29 * 100 is 28.999999999999996 in floating point.
+    assert sample_size(k, c) == expected
+
+
 def test_sample_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
@@ -492,18 +501,18 @@ def test_zero_learning_rate_freezes_the_model():
     np.testing.assert_array_equal(state.params, np.zeros(3))
 
 
-def run_sim(seed, threads, rounds=3, method=MethodKind.AAGGFF_D, c=0.5):
+def run_sim(seed, rounds=3, method=MethodKind.AAGGFF_D, c=0.5):
     state = make_state(
         method, shards_for(8, n=160, seed=1), seed=seed, sampling_c=c,
-        bounds=ResponseBounds.cross_silo(8), threads=threads,
+        bounds=ResponseBounds.cross_silo(8),
     )
     reports = [run_round(state, t) for t in range(rounds)]
     return state, reports
 
 
 def test_same_seed_reproduces_bit_for_bit():
-    state_a, reports_a = run_sim(seed=5, threads=1)
-    state_b, reports_b = run_sim(seed=5, threads=1)
+    state_a, reports_a = run_sim(seed=5)
+    state_b, reports_b = run_sim(seed=5)
     np.testing.assert_array_equal(state_a.params, state_b.params)
     for ra, rb in zip(reports_a, reports_b):
         assert ra.sampled_ids == rb.sampled_ids
@@ -511,20 +520,10 @@ def test_same_seed_reproduces_bit_for_bit():
         assert ra.decision_loss == rb.decision_loss
         np.testing.assert_array_equal(ra.decision, rb.decision)
         assert ra.summary == rb.summary
-    _, reports_c = run_sim(seed=6, threads=1)
+    _, reports_c = run_sim(seed=6)
     assert any(
         ra.mean_feedback != rc.mean_feedback for ra, rc in zip(reports_a, reports_c)
     )
-
-
-def test_thread_count_never_changes_results():
-    state_a, reports_a = run_sim(seed=5, threads=1)
-    state_b, reports_b = run_sim(seed=5, threads=4)
-    np.testing.assert_array_equal(state_a.params, state_b.params)
-    for ra, rb in zip(reports_a, reports_b):
-        assert ra.sampled_ids == rb.sampled_ids
-        assert ra.decision_loss == rb.decision_loss
-        np.testing.assert_array_equal(ra.decision, rb.decision)
 
 
 def dirichlet_shards(k=50, n=1000, seed=3):

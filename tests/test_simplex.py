@@ -58,15 +58,13 @@ def test_projection_matches_feasibility_on_random_inputs():
 
 
 def test_minimize_symmetric_quadratic_returns_uniform():
-    p = minimize_over_simplex(
-        lambda p: 0.5 * float(p @ p), lambda p: p, 3, tol=1e-10
-    )
+    p = minimize_over_simplex(lambda p: (0.5 * float(p @ p), p), 3, tol=1e-10)
     np.testing.assert_allclose(p, [1 / 3, 1 / 3, 1 / 3], atol=1e-8)
 
 
 def test_minimize_linear_selects_cheapest_vertex():
     c = np.array([1.0, 0.0, 2.0])
-    p = minimize_over_simplex(lambda p: float(c @ p), lambda p: c, 3, tol=1e-10)
+    p = minimize_over_simplex(lambda p: (float(c @ p), c), 3, tol=1e-10)
     np.testing.assert_allclose(p, [0.0, 1.0, 0.0], atol=1e-8)
 
 
@@ -85,7 +83,7 @@ def test_minimize_matches_grid_search_on_log_growth_objective():
     values = -np.log1p(grid @ responses.T).sum(axis=1)
     oracle = grid[int(np.argmin(values))]
 
-    p = minimize_over_simplex(objective, gradient, 3, tol=1e-10)
+    p = minimize_over_simplex(lambda p: (objective(p), gradient(p)), 3, tol=1e-10)
     np.testing.assert_allclose(p, oracle, atol=2e-3)
     assert kkt_residual(p, gradient(p), 1e-10) <= 1e-10
 
@@ -106,15 +104,13 @@ def test_minimize_never_beats_tolerance_contract_vs_uniform():
             return 2.0 * mat @ (p - target)
 
         tol = 1e-9
-        p = minimize_over_simplex(objective, gradient, k, tol=tol)
+        p = minimize_over_simplex(lambda p: (objective(p), gradient(p)), k, tol=tol)
         assert objective(p) <= objective(uniform_decision(k)) + tol
 
 
 def test_minimize_raises_on_nonfinite_start():
     with pytest.raises(NumericalFailureError):
-        minimize_over_simplex(
-            lambda p: float("nan"), lambda p: np.zeros(3), 3, tol=1e-9
-        )
+        minimize_over_simplex(lambda p: (float("nan"), np.zeros(3)), 3, tol=1e-9)
 
 
 def test_minimize_nonconvergence_carries_best_iterate():
@@ -123,8 +119,7 @@ def test_minimize_nonconvergence_carries_best_iterate():
     c = np.array([1.0, 2.0, 3.0])
     with pytest.raises(NonConvergenceError) as excinfo:
         minimize_over_simplex(
-            lambda p: float(c @ (p - 0.2) ** 2),
-            lambda p: 2.0 * c * (p - 0.2),
+            lambda p: (float(c @ (p - 0.2) ** 2), 2.0 * c * (p - 0.2)),
             3,
             max_iterations=1,
         )
@@ -185,8 +180,7 @@ def ons_metric(rng: np.random.Generator, k: int, updates: int) -> np.ndarray:
 def reference_projection(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """The metric projection by projected gradient alone, from the barycenter."""
     return minimize_over_simplex(
-        lambda p: float((p - q) @ mat @ (p - q)),
-        lambda p: 2.0 * (mat @ (p - q)),
+        lambda p: (float((p - q) @ mat @ (p - q)), 2.0 * (mat @ (p - q))),
         q.size,
         tol=1e-11,
     )
