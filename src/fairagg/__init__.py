@@ -66,7 +66,6 @@ from .response import (
     CdfFamily,
     CdfKind,
     ResponseBounds,
-    ResponseVector,
     cdf_eval,
     transform_losses,
 )

@@ -182,9 +182,7 @@ def ons_init(k: int, l_inf: float) -> OnsState:
     )
 
 
-def aaggff_s_step(
-    state: OnsState, gradient: np.ndarray, tol: float = 1e-9
-) -> tuple[OnsState, np.ndarray]:
+def aaggff_s_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.ndarray]:
     """Fold one gradient into the quadratic surrogate and emit the minimizer.
 
     The new decision is the generalized projection of the unconstrained
@@ -195,6 +193,8 @@ def aaggff_s_step(
     g = np.asarray(gradient, dtype=float)
     if g.shape != state.grad_sum.shape:
         raise InvalidDimensionError("gradient length does not match state")
+    if not np.all(np.isfinite(g)):
+        raise DomainError("gradient entries must be finite")
 
     grad_sum = state.grad_sum + g
     # einsum forms an outer product several times faster than np.outer's
@@ -220,7 +220,7 @@ def aaggff_s_step(
         np.subtract(state.inv, inv, out=inv)
 
     unconstrained = inv @ (rhs - grad_sum)
-    decision = project_generalized(unconstrained, mat, tol=tol, b_inv=inv)
+    decision = project_generalized(unconstrained, mat, b_inv=inv)
 
     new_state = OnsState(
         round=state.round + 1,

@@ -119,15 +119,22 @@ _REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig)
 
 
 def _fits(hint, value) -> bool:
-    """Whether a JSON value fits a field type; a bool fits none, an int fits float."""
+    """Whether a JSON value fits a field type; a bool fits none, an int fits float.
+
+    A float key takes only values finite as floats: ``json`` reads ``NaN``,
+    ``Infinity`` and ``1e400`` as non-finite floats, which pass ``<= 0`` range
+    checks, and an integer past the float range overflows in float arithmetic.
+    """
     if isinstance(value, bool):
         return False
     args = get_args(hint)
+    if hint is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if get_origin(hint) is list:
         return isinstance(value, list) and all(_fits(args[0], v) for v in value)
     if type(None) in args:
         return value is None or _fits(args[0], value)
-    return isinstance(value, (int, float) if hint is float else hint)
+    return isinstance(value, hint)
 
 
 _ENUM_KEYS = {
@@ -351,9 +358,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
 # regret-bench
 # ---------------------------------------------------------------------------
 
-def synthetic_responses(
-    k: int, rounds: int, c2: float, seed: int, block: int = 50
-) -> np.ndarray:
+# Rounds between rotations of the favored coordinate in synthetic_responses.
+_ROTATION_BLOCK = 50
+
+
+def synthetic_responses(k: int, rounds: int, c2: float, seed: int) -> np.ndarray:
     """Bounded response sequence whose favored coordinate rotates per block.
 
     Rotation keeps the sequence from being trivially stationary, which is the
@@ -362,7 +371,7 @@ def synthetic_responses(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     responses = rng.uniform(0.0, 0.5 * c2, size=(rounds, k))
     for t in range(rounds):
-        favored = (t // block) % k
+        favored = (t // _ROTATION_BLOCK) % k
         responses[t, favored] = rng.uniform(0.5 * c2, c2)
     return responses
 
@@ -479,7 +488,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             except ValueError:
                 raise ConfigError("--seeds must be a comma-separated integer list") from None
             validate_config(cfg)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
@@ -526,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to a JSON config")
     p_run.add_argument("--output", default=None, help="output directory override")
     p_run.add_argument("--seeds", default=None, help="comma-separated seed list override")
-    p_run.add_argument("--threads", type=int, default=1,
+    p_run.add_argument("--threads", type=_positive_int, default=1,
                        help="accepted for compatibility; clients train in one thread and "
                             "the value never affects results")
     p_run.set_defaults(handler=cmd_run)

@@ -16,24 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, InvalidDimensionError
-from .response import ResponseBounds, ResponseVector
+from .response import ResponseBounds
 
 
 @dataclass(frozen=True)
 class LipschitzConstants:
-    """Sup-norm gradient bounds for exact and doubly-robust gradient streams."""
+    """Sup-norm gradient bounds for the exact and doubly-robust gradient streams.
+
+    ``l_inf`` bounds -r / (1 + <p, r>) over responses in [c1, c2]; ``l_inf_dr``
+    also covers a doubly-robust estimate built at the given propensity, so
+    0 < l_inf < l_inf_dr.
+    """
 
     l_inf: float
     l_inf_dr: float
-    sampling_c: float
-
-    def __post_init__(self):
-        if not (0.0 < self.sampling_c <= 1.0):
-            raise DomainError(f"sampling fraction must be in (0,1], got {self.sampling_c}")
-        if self.l_inf <= 0.0 or self.l_inf_dr < self.l_inf:
-            raise DomainError(
-                f"bounds require 0 < l_inf <= l_inf_dr, got {self.l_inf}, {self.l_inf_dr}"
-            )
 
 
 def _check_pair(p: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,26 +60,29 @@ def decision_grad(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     return -r / growth
 
 
-def dr_response(raw: ResponseVector, sampling_c: float) -> np.ndarray:
+def dr_response(values: np.ndarray, observed: np.ndarray, propensity: float) -> np.ndarray:
     """Doubly-robust completion of a partially observed response vector.
 
-    Observed entries are inverse-propensity corrected around the observed
-    mean; unobserved entries are imputed with that mean.  With sampling_c = 1
-    the output equals the raw values exactly.
+    ``values`` holds the K responses (entries where ``observed`` is False are
+    ignored).  Observed entries are inverse-propensity corrected around the
+    observed mean; unobserved entries are imputed with that mean.  At
+    propensity 1 this is plain mean imputation: every observed entry comes back
+    exactly, since (1 - 1/1) * mean + v / 1 is v for finite nonnegative
+    responses.
     """
-    if not (0.0 < sampling_c <= 1.0):
-        raise DomainError(f"sampling fraction must be in (0,1], got {sampling_c}")
-    observed = raw.observed
+    values = np.asarray(values, dtype=float)
+    observed = np.asarray(observed, dtype=bool)
+    if values.shape != observed.shape or values.ndim != 1:
+        raise InvalidDimensionError(
+            "values and observed must be equal-length 1-D, "
+            f"got {values.shape} vs {observed.shape}"
+        )
+    if not (0.0 < propensity <= 1.0):
+        raise DomainError(f"propensity must be in (0,1], got {propensity}")
     if not observed.any():
         raise DegenerateInputError("no observed entries to estimate from")
-    mean = float(raw.values[observed].mean())
-    if sampling_c == 1.0:
-        return np.where(observed, raw.values, mean)
-    return np.where(
-        observed,
-        (1.0 - 1.0 / sampling_c) * mean + raw.values / sampling_c,
-        mean,
-    )
+    mean = float(values[observed].mean())
+    return np.where(observed, (1.0 - 1.0 / propensity) * mean + values / propensity, mean)
 
 
 def linearized_grad(r_hat: np.ndarray, p: np.ndarray, r0_scalar: float) -> np.ndarray:
@@ -104,6 +103,8 @@ def linearized_grad(r_hat: np.ndarray, p: np.ndarray, r0_scalar: float) -> np.nd
 
 def lipschitz_constants(bounds: ResponseBounds, sampling_c: float) -> LipschitzConstants:
     """Sup-norm bounds for the exact and doubly-robust gradient streams."""
+    if not (0.0 < sampling_c <= 1.0):
+        raise DomainError(f"sampling fraction must be in (0,1], got {sampling_c}")
     l_inf = bounds.c2 / (1.0 + bounds.c1)
     l_inf_dr = l_inf + 2.0 * (bounds.c2 - bounds.c1) / (sampling_c * (1.0 + bounds.c1))
-    return LipschitzConstants(l_inf=l_inf, l_inf_dr=l_inf_dr, sampling_c=sampling_c)
+    return LipschitzConstants(l_inf=l_inf, l_inf_dr=l_inf_dr)

@@ -50,7 +50,7 @@ from .modeldata import (
     group_loss,
     loss_and_grad,
 )
-from .response import CdfKind, ResponseBounds, ResponseVector, transform_losses
+from .response import CdfKind, ResponseBounds, transform_losses
 from .simplex import uniform_decision
 
 logger = logging.getLogger(__name__)
@@ -320,9 +320,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
 
     feedbacks = feedback[~diverged]
     responses = transform_losses(feedbacks, state.cdf, state.bounds)
-    observed_mean = float(responses.mean())
 
-    full_participation = len(survivors) == k
     observed = np.zeros(k, dtype=bool)
     observed[survivors] = True
     scattered = np.zeros(k)
@@ -330,15 +328,10 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
 
     prev_decision = state.decision
 
-    if state.method.kind is MethodKind.AAGGFF_D and not full_participation:
-        raw = ResponseVector(values=scattered, observed=observed)
-        r_for_loss = dr_response(raw, state.propensity)
-        gradient = linearized_grad(r_for_loss, prev_decision, observed_mean)
-    else:
-        # Mean-impute any unobserved entries; exact vector at full
-        # participation.
-        r_for_loss = np.where(observed, scattered, observed_mean)
-        gradient = decision_grad(prev_decision, r_for_loss)
+    # AAggFFD corrects a partial round by its propensity; every other round
+    # is completed at propensity 1, which imputes the observed mean.
+    doubly_robust = state.method.kind is MethodKind.AAGGFF_D and len(survivors) < k
+    r_for_loss = dr_response(scattered, observed, state.propensity if doubly_robust else 1.0)
     round_loss = decision_loss(prev_decision, r_for_loss)
 
     if state.optimizer is None:
@@ -346,6 +339,10 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
         new_decision = np.zeros(k)
         new_decision[survivors] = baseline_coefficients(state.method, sizes, feedbacks)
     else:
+        if doubly_robust:
+            gradient = linearized_grad(r_for_loss, prev_decision, float(responses.mean()))
+        else:
+            gradient = decision_grad(prev_decision, r_for_loss)
         state.optimizer, new_decision = state.optimizer.step(gradient)
 
     weights = normalize_selected(new_decision, survivors)

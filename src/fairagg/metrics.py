@@ -59,9 +59,7 @@ def performance_summary(values: np.ndarray) -> PerformanceSummary:
     )
 
 
-def cumulative_regret(
-    decisions, responses, tol: float = 1e-9
-) -> tuple[float, np.ndarray]:
+def cumulative_regret(decisions, responses) -> tuple[float, np.ndarray]:
     """Cumulative decision loss above the best fixed decision in hindsight.
 
     The hindsight optimum minimizes the summed per-round losses over the
@@ -80,7 +78,7 @@ def cumulative_regret(
         rp = resp @ p
         return -float(np.sum(np.log1p(rp))), -(resp / (1.0 + rp)[:, None]).sum(axis=0)
 
-    hindsight = minimize_over_simplex(fun, k, tol=tol)
+    hindsight = minimize_over_simplex(fun, k)
     incurred = sum(decision_loss(p, r) for p, r in zip(decisions, responses))
     regret = incurred - fun(hindsight)[0]
     return float(regret), hindsight

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,23 +77,6 @@ class ResponseBounds:
     def cross_device(cls, sampling_fraction: float) -> "ResponseBounds":
         # Massive population, fraction C sampled per round: cap at C.
         return cls(0.0, sampling_fraction)
-
-
-@dataclass
-class ResponseVector:
-    """Per-client responses with an observation mask (True = sampled)."""
-
-    values: np.ndarray
-    observed: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.observed is None:
-            self.observed = np.ones(self.values.shape, dtype=bool)
-        else:
-            self.observed = np.asarray(self.observed, dtype=bool)
-        if self.values.shape != self.observed.shape or self.values.ndim != 1:
-            raise InvalidDimensionError("values and observed must be equal-length 1-D")
 
 
 def erf(x):

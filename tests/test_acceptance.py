@@ -42,7 +42,6 @@ from fairagg.response import (
     CdfFamily,
     CdfKind,
     ResponseBounds,
-    ResponseVector,
     transform_losses,
 )
 from fairagg.simplex import kkt_residual, minimize_over_simplex
@@ -148,7 +147,7 @@ def test_criterion_03_lipschitz_bounds():
         observed = rng.random(k) < participation
         if not observed.any():
             observed[int(rng.integers(k))] = True
-        estimate = dr_response(ResponseVector(r, observed), participation)
+        estimate = dr_response(r, observed, participation)
         anchor = float(r[observed].mean())
         g_dr = linearized_grad(estimate, p, anchor)
         worst_dr = max(worst_dr, float(np.abs(g_dr).max()))
@@ -275,7 +274,7 @@ def test_criterion_07_dr_estimator_bias():
     start = time.perf_counter()
     r4 = np.array([0.1, 0.2, 0.3, 0.4])
     estimates = [
-        dr_response(ResponseVector(r4, observed_mask(sub, 4)), 0.5)
+        dr_response(r4, observed_mask(sub, 4), 0.5)
         for sub in itertools.combinations(range(4), 2)
     ]
     bias4 = np.mean(estimates, axis=0) - r4
@@ -287,7 +286,7 @@ def test_criterion_07_dr_estimator_bias():
     exact = np.zeros(k)
     subsets = list(itertools.combinations(range(k), chosen))
     for sub in subsets:
-        exact += dr_response(ResponseVector(r20, observed_mask(sub, k)), participation)
+        exact += dr_response(r20, observed_mask(sub, k), participation)
     exact /= len(subsets)
 
     rng = np.random.default_rng(7)
@@ -296,7 +295,7 @@ def test_criterion_07_dr_estimator_bias():
     total_sq = np.zeros(k)
     for _ in range(draws):
         sub = rng.choice(k, size=chosen, replace=False)
-        est = dr_response(ResponseVector(r20, observed_mask(sub, k)), participation)
+        est = dr_response(r20, observed_mask(sub, k), participation)
         total += est
         total_sq += est * est
     mc_mean = total / draws

@@ -31,7 +31,7 @@ from fairagg.cli import synthetic_responses, unify_instance
 from fairagg.decision import decision_grad, dr_response, linearized_grad, lipschitz_constants
 from fairagg.errors import DomainError, InvalidDimensionError, NumericalFailureError
 from fairagg.metrics import cumulative_regret
-from fairagg.response import ResponseBounds, ResponseVector
+from fairagg.response import ResponseBounds
 from fairagg.simplex import kkt_residual, minimize_over_simplex, uniform_decision
 
 
@@ -313,6 +313,15 @@ def test_ons_rejects_mismatched_gradient():
         aaggff_s_step(state, np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "init, step", [(ons_init, aaggff_s_step), (ftrl_init, aaggff_d_step)], ids=["ons", "ftrl"]
+)
+def test_optimizers_reject_non_finite_gradients(init, step, bad):
+    with pytest.raises(DomainError, match="finite"):
+        step(init(3, 0.5), np.array([-0.1, bad, -0.2]))
+
+
 def test_ons_lost_positive_definiteness_is_a_numerical_failure():
     # A negative definite tracked inverse drives the rank-1 denominator
     # 1 + beta * g^T inv g below zero.
@@ -400,10 +409,9 @@ def test_ftrl_regret_scaling_under_partial_feedback():
             chosen = rng.choice(k, size=int(participation * k), replace=False)
             observed = np.zeros(k, dtype=bool)
             observed[chosen] = True
-            raw = ResponseVector(
-                values=np.where(observed, responses[t], 0.0), observed=observed
+            estimate = dr_response(
+                np.where(observed, responses[t], 0.0), observed, participation
             )
-            estimate = dr_response(raw, participation)
             reference = float(responses[t][observed].mean())
             grad = linearized_grad(estimate, decision, reference)
             state, decision = aaggff_d_step(state, grad)

@@ -163,6 +163,25 @@ def test_range_violations_rejected():
         parse_config('{"K": 4, "T": 5, "method": "TERM", "tilt": 0.0}')
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ('"method": "QFedAvg", "q": NaN', "q"),
+        ('"method": "TERM", "tilt": 1e400', "tilt"),
+        ('"method": "Static", "partition": "Dirichlet", "alpha": NaN', "alpha"),
+        ('"method": "AAggFFS", "cdf_scale": NaN', "cdf_scale"),
+        ('"method": "Static", "lr": Infinity', "lr"),
+        ('"method": "Static", "server_lr": 1' + "0" * 400, "server_lr"),
+    ],
+    ids=["q", "tilt", "alpha", "cdf_scale", "lr", "server_lr"],
+)
+def test_non_finite_floats_rejected(extra, key):
+    # json reads NaN, Infinity and an overflowing 1e400 as non-finite floats;
+    # a 401-digit integer overflows the first float operation.
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be float, got "):
+        parse_config('{"K": 4, "T": 5, ' + extra + "}")
+
+
 def test_serialization_round_trip_is_stable():
     once = serialize_config(parse_config(MINIMAL))
     twice = serialize_config(parse_config(once))
@@ -320,6 +339,24 @@ def test_main_run_error_paths(tmp_path, capsys):
     good.write_text(MINIMAL)
     assert main(["run", "--config", str(good), "--seeds", "1,zwei"]) == 1
     assert "--seeds" in capsys.readouterr().err
+
+
+def test_main_run_non_utf8_config_fails_cleanly(tmp_path, capsys):
+    config_path = tmp_path / "latin1.json"
+    config_path.write_bytes(b'{"K": 4, "T": 5, "method": "Static", "cdf": "\xe9"}')
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config:")
+    assert "Traceback" not in err
+
+
+def test_main_run_rejects_non_positive_threads(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(MINIMAL)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--config", str(good), "--threads", "-3"])
+    assert excinfo.value.code == 2
+    assert "argument --threads" in capsys.readouterr().err
 
 
 def test_main_run_rejects_negative_seed_override(tmp_path, capsys):

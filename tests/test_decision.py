@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairagg.decision import (
     decision_grad,
@@ -15,7 +17,7 @@ from fairagg.decision import (
     lipschitz_constants,
 )
 from fairagg.errors import DegenerateInputError, DomainError, InvalidDimensionError
-from fairagg.response import ResponseBounds, ResponseVector
+from fairagg.response import ResponseBounds
 
 
 def random_simplex(rng, k):
@@ -75,24 +77,41 @@ def test_grad_matches_central_finite_differences():
 
 def test_dr_identity_at_full_observation():
     values = np.array([0.1, 0.5, 0.3])
-    raw = ResponseVector(values=values)
-    np.testing.assert_array_equal(dr_response(raw, 1.0), values)
+    observed = np.ones(3, dtype=bool)
+    np.testing.assert_array_equal(dr_response(values, observed, 1.0), values)
 
 
 def test_dr_single_observation_spreads_the_mean():
-    raw = ResponseVector(
-        values=np.array([0.3, 0.0, 0.0]),
-        observed=np.array([True, False, False]),
-    )
-    np.testing.assert_allclose(dr_response(raw, 1.0 / 3.0), [0.3, 0.3, 0.3])
+    values = np.array([0.3, 0.0, 0.0])
+    observed = np.array([True, False, False])
+    np.testing.assert_allclose(dr_response(values, observed, 1.0 / 3.0), [0.3, 0.3, 0.3])
 
 
 def test_dr_rejects_unobserved_rounds():
-    raw = ResponseVector(values=np.zeros(3), observed=np.zeros(3, dtype=bool))
     with pytest.raises(DegenerateInputError):
-        dr_response(raw, 0.5)
+        dr_response(np.zeros(3), np.zeros(3, dtype=bool), 0.5)
     with pytest.raises(DomainError):
-        dr_response(ResponseVector(values=np.zeros(3)), 0.0)
+        dr_response(np.zeros(3), np.ones(3, dtype=bool), 0.0)
+
+
+def test_dr_rejects_mismatched_shapes():
+    with pytest.raises(InvalidDimensionError):
+        dr_response(np.array([0.1, 0.2]), np.array([True]), 1.0)
+    with pytest.raises(InvalidDimensionError):
+        dr_response(np.full((2, 2), 0.1), np.ones((2, 2), dtype=bool), 1.0)
+
+
+@settings(deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.floats(0.0, 1e6), st.booleans()), min_size=1, max_size=30
+    ).filter(lambda pairs: any(seen for _, seen in pairs))
+)
+def test_dr_at_propensity_one_is_mean_imputation(entries):
+    values = np.array([v for v, _ in entries])
+    observed = np.array([seen for _, seen in entries])
+    expected = np.where(observed, values, values[observed].mean())
+    assert dr_response(values, observed, 1.0).tobytes() == expected.tobytes()
 
 
 # Oracle: averaging the estimator over all 6 two-element subsets of a
@@ -108,8 +127,7 @@ def test_dr_bias_exhaustive_enumeration():
     for subset in itertools.combinations(range(4), 2):
         observed = np.zeros(4, dtype=bool)
         observed[list(subset)] = True
-        raw = ResponseVector(values=np.where(observed, r, 0.0), observed=observed)
-        estimates.append(dr_response(raw, c))
+        estimates.append(dr_response(np.where(observed, r, 0.0), observed, c))
     bias = np.mean(estimates, axis=0) - r
     np.testing.assert_allclose(bias, ENUMERATED_BIAS, atol=1e-12)
     assert np.max(np.abs(bias)) <= 0.25 * (0.4 - 0.1)
@@ -159,6 +177,12 @@ def test_lipschitz_constant_values():
     assert full.l_inf_dr == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("c", [0.0, 1.5])
+def test_lipschitz_constants_reject_sampling_fraction_outside_unit_interval(c):
+    with pytest.raises(DomainError, match="sampling fraction"):
+        lipschitz_constants(ResponseBounds(0.0, 0.1), c)
+
+
 def test_lipschitz_ordering_holds():
     rng = np.random.default_rng(13)
     for _ in range(100):
@@ -195,8 +219,7 @@ def test_dr_linearized_sup_norm_bound_1000_rounds():
         observed = np.zeros(k, dtype=bool)
         observed[chosen] = True
         values = np.where(observed, rng.uniform(bounds.c1, bounds.c2, size=k), 0.0)
-        raw = ResponseVector(values=values, observed=observed)
-        estimate = dr_response(raw, c)
+        estimate = dr_response(values, observed, c)
         reference = float(values[observed].mean())
         p = random_simplex(rng, k)
         grad = linearized_grad(estimate, p, reference)

@@ -49,7 +49,6 @@ from fairagg.response import (
     CdfFamily,
     CdfKind,
     ResponseBounds,
-    ResponseVector,
     transform_losses,
 )
 
@@ -144,9 +143,9 @@ def test_propensity_is_the_sampled_fraction(monkeypatch):
     assert state.optimizer.l_inf_dr == lipschitz_constants(state.bounds, 3 / 7).l_inf_dr
     seen = []
 
-    def spy(raw, sampling_c):
-        seen.append(sampling_c)
-        return dr_response(raw, sampling_c)
+    def spy(values, observed, propensity):
+        seen.append(propensity)
+        return dr_response(values, observed, propensity)
 
     monkeypatch.setattr(fedsim, "dr_response", spy)
     run_round(state, 0)
@@ -608,7 +607,7 @@ def old_dispatch_round(state, t, ons, ftrl):
     scattered[survivors] = responses
     kind = state.method.kind
     if kind is MethodKind.AAGGFF_D and len(survivors) < k:
-        r = dr_response(ResponseVector(scattered, observed), state.propensity)
+        r = dr_response(scattered, observed, state.propensity)
         gradient = linearized_grad(r, state.decision, float(responses.mean()))
     else:
         r = np.where(observed, scattered, float(responses.mean()))
@@ -630,8 +629,15 @@ def old_dispatch_round(state, t, ons, ftrl):
     return sampled, survivors, loss, decision, ons, ftrl
 
 
-@pytest.mark.parametrize("kind", list(MethodKind))
-def test_one_step_interface_matches_the_per_method_dispatch(kind):
+# At C=1 client 2 is still dropped every round, so AAggFFD completes the
+# round at propensity 1.  The C=0.5 cases take the bare kind as their id,
+# which keeps their test names stable.
+@pytest.mark.parametrize(
+    "kind, c",
+    [pytest.param(kind, c, id=str(kind) if c == 0.5 else f"{kind}-C1")
+     for kind in MethodKind for c in (0.5, 1.0)],
+)
+def test_one_step_interface_matches_the_per_method_dispatch(kind, c):
     base = make_synthetic(240, 2, 3, seed=4)
     clients = list(partition(base, PartitionSpec(PartitionScheme.IID, k=6, seed=4)))
     # Client 2 overflows on its second SGD step whenever it is sampled.
@@ -639,7 +645,7 @@ def test_one_step_interface_matches_the_per_method_dispatch(kind):
 
     def fresh():
         return make_state(
-            kind, clients, seed=2, model_spec=TRI, sampling_c=0.5,
+            kind, clients, seed=2, model_spec=TRI, sampling_c=c,
             bounds=ResponseBounds.cross_silo(6),
         )
 

@@ -12,7 +12,6 @@ from fairagg.response import (
     CdfFamily,
     CdfKind,
     ResponseBounds,
-    ResponseVector,
     cdf_eval,
     erf,
     transform_losses,
@@ -227,9 +226,3 @@ def test_bounds_validation_and_presets():
     assert ResponseBounds.cross_silo(10) == ResponseBounds(0.0, 0.1)
     assert ResponseBounds.cross_device(0.01) == ResponseBounds(0.0, 0.01)
 
-
-def test_response_vector_defaults_to_fully_observed():
-    rv = ResponseVector(values=np.array([0.1, 0.2]))
-    assert rv.observed.all()
-    with pytest.raises(Exception):
-        ResponseVector(values=np.array([0.1, 0.2]), observed=np.array([True]))
