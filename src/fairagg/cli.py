@@ -183,9 +183,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("config key 'C' must lie in (0, 1]")
     if cfg.B < 1 or cfg.E < 0:
         raise ConfigError("config keys 'B' must be >= 1 and 'E' >= 0")
-    for key in ("lr", "lr_decay", "server_lr", "tau"):
+    for key in ("lr", "server_lr", "tau"):
         if getattr(cfg, key) <= 0.0:
             raise ConfigError(f"config key '{key}' must be positive")
+    # A decay above 1 grows the step size until the power overflows.
+    if not (0.0 < cfg.lr_decay <= 1.0):
+        raise ConfigError("config key 'lr_decay' must lie in (0, 1]")
     if cfg.decay_step < 1:
         raise ConfigError("config key 'decay_step' must be >= 1")
     if cfg.prox_mu < 0.0 or cfg.weight_decay < 0.0:
@@ -248,7 +251,7 @@ def build_state(cfg: ExperimentConfig, seed: int) -> SimulationState:
         num_classes=cfg.num_classes,
         hidden=cfg.hidden,
     )
-    shards = partition(
+    pool, sizes = partition(
         dataset,
         PartitionSpec(
             scheme=PartitionScheme(cfg.partition),
@@ -268,7 +271,8 @@ def build_state(cfg: ExperimentConfig, seed: int) -> SimulationState:
     return SimulationState(
         master_seed=seed,
         model_spec=spec,
-        clients=shards,
+        pool=pool,
+        sizes=sizes,
         params=init_params(spec, seed),
         method=resolve_method(cfg),
         cdf=resolve_cdf(cfg),

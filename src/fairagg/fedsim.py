@@ -14,8 +14,9 @@ clients: feedback ``(S,)``, deltas ``(S, P)`` and a diverged mask ``(S,)``.
 A diverged client's rows hold no usable values; the round drops it with a
 warning and fails only when every sampled client diverged.
 
-The client shards live in one pooled dataset, concatenated in ascending
-client id, so each round scores every client with a single prediction pass.
+Client data is one pooled dataset, each client's rows together in ascending
+client id, plus each client's row count; a round gathers the sampled clients'
+rows from it, and one prediction pass over it scores every client.
 
 An adaptive method takes one ``step`` per round of the optimizer that
 ``aggregator.optimizer_init`` gave it; a closed-form baseline has none and
@@ -109,7 +110,8 @@ def sample_clients(k: int, c: float, rng: np.random.Generator) -> list[int]:
 
 def client_update(
     params: np.ndarray,
-    shards: list[Dataset],
+    data: Dataset,
+    sizes: np.ndarray,
     model_spec: ModelSpec,
     *,
     epochs: int,
@@ -122,28 +124,25 @@ def client_update(
     """Evaluate feedback on the received model, then run local SGD, for
     every client at once.
 
-    Feedback is measured strictly before any training step, as one grouped
-    loss over all the clients' rows.  Each client shuffles its own shard with
-    its own generator every epoch and walks it in minibatches; SGD step s
-    moves every client that still has an s-th minibatch, with one
-    ``loss_and_grad`` call over those minibatches stacked together.  With
-    prox_mu > 0 every step pulls back toward the received parameters.
+    ``data`` holds the clients' rows one client after another, ``sizes[i]``
+    of them for client i.  Feedback is measured strictly before any training
+    step, as one grouped loss over all the rows.  Each client shuffles its
+    own rows with its own generator every epoch and walks them in
+    minibatches; SGD step s moves every client that still has an s-th
+    minibatch, with one ``loss_and_grad`` call over those minibatches
+    stacked together.  With prox_mu > 0 every step pulls back toward the
+    received parameters.
 
-    Returns ``(feedback, deltas, diverged)`` in the order of ``shards``: each
+    Returns ``(feedback, deltas, diverged)`` in the order of ``sizes``: each
     client's loss on the received model ``(S,)``, the received parameters
     minus its final local ones ``(S, P)``, and a boolean mask ``(S,)``.  A
     client whose feedback, loss, gradient or parameters become non-finite
     stops training and is marked in ``diverged``; nothing is raised, and its
     rows of ``feedback`` and ``deltas`` must not be used.
     """
-    sizes = [len(shard) for shard in shards]
-    if 0 in sizes:
-        raise InvalidDimensionError("client dataset must be nonempty")
+    if sizes.size == 0 or sizes.min() < 1 or sizes.sum() != len(data):
+        raise InvalidDimensionError("sizes must be nonempty, positive and cover the data")
     received = np.asarray(params, dtype=float)
-    data = Dataset(
-        np.concatenate([shard.features for shard in shards]),
-        np.concatenate([shard.labels for shard in shards]),
-    )
     offsets = np.cumsum(sizes) - sizes
     # Row indices into ``data`` of every client's minibatches, in step order.
     schedules = [
@@ -151,13 +150,13 @@ def client_update(
         for size, offset, rng in zip(sizes, offsets, rngs)
     ]
     steps = np.array([len(batches) for batches in schedules])
-    local = np.tile(received, (len(shards), 1))
-    diverged = np.zeros(len(shards), dtype=bool)
+    local = np.tile(received, (sizes.size, 1))
+    diverged = np.zeros(sizes.size, dtype=bool)
 
     # Overflow here is an expected, handled outcome (the client gets
     # dropped), so suppress the elementwise warnings instead of spewing them.
     with np.errstate(over="ignore", invalid="ignore"):
-        owner = np.repeat(np.arange(len(sizes)), sizes)
+        owner = np.repeat(np.arange(sizes.size), sizes)
         feedback = group_loss(model_spec, received, data, owner)
         diverged |= ~np.isfinite(feedback)
         for step in range(steps.max()):
@@ -235,7 +234,9 @@ class SimulationState:
 
     master_seed: int
     model_spec: ModelSpec
-    clients: list[Dataset]
+    # Every client's rows in ascending client id, and each client's row count.
+    pool: Dataset
+    sizes: np.ndarray
     params: np.ndarray
     method: AggregatorMethod
     cdf: CdfKind
@@ -249,39 +250,28 @@ class SimulationState:
     prox_mu: float
     weight_decay: float
     server_opt: ServerOptimizer
-    decision: np.ndarray = field(default=None)  # type: ignore[assignment]
+    decision: np.ndarray = field(init=False)
     # The adaptive method's optimizer; None for a closed-form baseline.
     optimizer: OnsState | FtrlState | None = field(init=False)
-    # Every client's rows in ascending client id, and the client of each row.
-    pool: Dataset = field(init=False)
+    # The client of each row, and each client's first row in the pool.
     owner: np.ndarray = field(init=False)
+    starts: np.ndarray = field(init=False)
     # Each client's chance of being sampled in a round.
     propensity: float = field(init=False)
 
     def __post_init__(self):
-        k = len(self.clients)
-        sizes = [len(shard) for shard in self.clients]
-        if not sizes or 0 in sizes:
-            raise InvalidDimensionError("need at least one client, each with a sample")
-        self.pool = Dataset(
-            np.concatenate([shard.features for shard in self.clients]),
-            np.concatenate([shard.labels for shard in self.clients]),
-        )
-        self.owner = np.repeat(np.arange(k), sizes)
-        # Rebind each client to a slice of the pool (a view, not a copy) so
-        # the rows are held once.
-        ends = np.cumsum(sizes)
-        self.clients = [
-            self.pool.subset(slice(end - size, end)) for end, size in zip(ends, sizes)
-        ]
-        if self.decision is None:
-            self.decision = uniform_decision(k)
+        if self.sizes.size == 0 or self.sizes.min() < 1 or self.sizes.sum() != len(self.pool):
+            raise InvalidDimensionError("sizes must be nonempty, positive and cover the pool")
+        k = self.sizes.size
+        self.owner = np.repeat(np.arange(k), self.sizes)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.decision = uniform_decision(k)
         self.propensity = sample_size(k, self.sampling_c) / k
         self.optimizer = optimizer_init(self.method.kind, k, self.bounds, self.propensity)
 
     @property
     def k(self) -> int:
-        return len(self.clients)
+        return self.sizes.size
 
 
 def _effective_lr(state: SimulationState, t: int) -> float:
@@ -296,9 +286,14 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     )
     sampled = np.array(sample_clients(k, state.sampling_c, sampling_rng))
     # Ascending client ids, which fixes the reduction order of the deltas.
+    # The sampled clients' pool rows, one client after another.
+    sizes = state.sizes[sampled]
+    ends = np.cumsum(sizes)
+    rows = np.repeat(state.starts[sampled] - (ends - sizes), sizes) + np.arange(ends[-1])
     feedback, deltas, diverged = client_update(
         state.params,
-        [state.clients[client_id] for client_id in sampled],
+        state.pool.subset(rows),
+        sizes,
         state.model_spec,
         epochs=state.epochs,
         batch_size=state.batch_size,
@@ -335,9 +330,10 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     round_loss = decision_loss(prev_decision, r_for_loss)
 
     if state.optimizer is None:
-        sizes = np.array([len(state.clients[i]) for i in survivors], dtype=float)
         new_decision = np.zeros(k)
-        new_decision[survivors] = baseline_coefficients(state.method, sizes, feedbacks)
+        new_decision[survivors] = baseline_coefficients(
+            state.method, state.sizes[survivors], feedbacks
+        )
     else:
         if doubly_robust:
             gradient = linearized_grad(r_for_loss, prev_decision, float(responses.mean()))

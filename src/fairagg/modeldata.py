@@ -117,38 +117,36 @@ def make_synthetic(n: int, input_dim: int, num_classes: int, seed: int) -> Datas
     return Dataset(features[order], labels[order].astype(np.int64))
 
 
-def _require_min_one(shards: list[np.ndarray]) -> list[np.ndarray]:
-    """Move samples from the largest shard until every shard is nonempty."""
-    shards = [np.asarray(s, dtype=int) for s in shards]
-    for i, shard in enumerate(shards):
-        if shard.size == 0:
-            largest = max(range(len(shards)), key=lambda j: shards[j].size)
-            if shards[largest].size <= 1:
-                raise DomainError("not enough samples to give every client one")
-            shards[i] = shards[largest][-1:]
-            shards[largest] = shards[largest][:-1]
-    return shards
+def _split_sizes(n: int, parts: int) -> np.ndarray:
+    """Part sizes of ``np.array_split`` of n items into ``parts``."""
+    return n // parts + (np.arange(parts) < n % parts)
 
 
-def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
-    """Split a dataset into K disjoint, exhaustive client shards."""
+def partition(dataset: Dataset, spec: PartitionSpec) -> tuple[Dataset, np.ndarray]:
+    """Split a dataset into K disjoint, exhaustive, nonempty client shards.
+
+    Returns the rows grouped by ascending client id, each client's rows in
+    dataset order, and each client's row count ``(K,)``.  Every scheme
+    assigns a client to each row; a client left empty then takes the last
+    row of the first largest client, in client order.
+    """
     n = len(dataset)
     if spec.k > n:
         raise DomainError(f"cannot split {n} samples across {spec.k} clients")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
     labels = dataset.labels
     classes = np.unique(labels)
+    clients = np.arange(spec.k)
+    owner = np.empty(n, dtype=np.int64)
 
     if spec.scheme is PartitionScheme.IID:
-        order = rng.permutation(n)
-        shards = [np.sort(s) for s in np.array_split(order, spec.k)]
+        owner[rng.permutation(n)] = np.repeat(clients, _split_sizes(n, spec.k))
 
     elif spec.scheme is PartitionScheme.DIRICHLET:
         # Per-client class proportions, then each class pool is divided
         # among clients proportionally (largest-remainder rounding) so the
         # split is disjoint and exhaustive without replacement.
         proportions = rng.dirichlet(spec.alpha * np.ones(classes.size), size=spec.k)
-        shards = [[] for _ in range(spec.k)]
         for col, cls in enumerate(classes):
             pool = np.flatnonzero(labels == cls)
             pool = pool[rng.permutation(pool.size)]
@@ -161,10 +159,7 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
             if shortfall > 0:
                 order = np.argsort(-(quota - counts), kind="stable")
                 counts[order[:shortfall]] += 1
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            for k in range(spec.k):
-                shards[k].extend(pool[offsets[k]:offsets[k + 1]].tolist())
-        shards = [np.sort(np.asarray(s, dtype=int)) for s in shards]
+            owner[pool] = np.repeat(clients, counts)
 
     elif spec.scheme is PartitionScheme.PATHOLOGICAL:
         m = spec.classes_per_client
@@ -172,24 +167,27 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
             raise DomainError(
                 f"{spec.k} clients x {m} classes cannot cover {classes.size} classes"
             )
-        owners: dict[int, list[int]] = {int(c): [] for c in classes}
-        for k in range(spec.k):
-            for j in range(m):
-                cls = int(classes[(k * m + j) % classes.size])
-                owners[cls].append(k)
-        shards = [[] for _ in range(spec.k)]
-        for cls, owning in owners.items():
+        # Slot s = k*m + j is client k's j-th label, class s mod C; a class's
+        # holders come in ascending client id, a client once per slot.
+        slots = np.arange(spec.k * m)
+        for col, cls in enumerate(classes):
+            holders = slots[slots % classes.size == col] // m
             pool = np.flatnonzero(labels == cls)
             pool = pool[rng.permutation(pool.size)]
-            for part, k in zip(np.array_split(pool, len(owning)), owning):
-                shards[k].extend(part.tolist())
-        shards = [np.sort(np.asarray(s, dtype=int)) for s in shards]
+            owner[pool] = np.repeat(holders, _split_sizes(pool.size, holders.size))
 
     else:
         raise DomainError(f"unknown partition scheme {spec.scheme!r}")
 
-    shards = _require_min_one(shards)
-    return [dataset.subset(s) for s in shards]
+    sizes = np.bincount(owner, minlength=spec.k)
+    for empty in np.flatnonzero(sizes == 0):
+        donor = int(np.argmax(sizes))
+        if sizes[donor] <= 1:
+            raise DomainError("not enough samples to give every client one")
+        owner[np.flatnonzero(owner == donor)[-1]] = empty
+        sizes[donor] -= 1
+        sizes[empty] = 1
+    return dataset.subset(np.argsort(owner, kind="stable")), sizes
 
 
 # ---------------------------------------------------------------------------

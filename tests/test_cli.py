@@ -163,6 +163,14 @@ def test_range_violations_rejected():
         parse_config('{"K": 4, "T": 5, "method": "TERM", "tilt": 0.0}')
 
 
+@pytest.mark.parametrize("value", [0.0, -0.5, 1.000001, 2.0, 1e200])
+def test_lr_decay_must_lie_in_the_unit_interval(value):
+    # A decay above 1 grows the step size until lr_decay ** k overflows.
+    with pytest.raises(ConfigError, match="config key 'lr_decay' must lie in \\(0, 1\\]"):
+        parse_config(json.dumps({"K": 4, "T": 5, "method": "Static", "lr_decay": value}))
+    assert parse_config('{"K": 4, "T": 5, "method": "Static", "lr_decay": 1.0}').lr_decay == 1.0
+
+
 @pytest.mark.parametrize(
     "extra, key",
     [
@@ -339,6 +347,20 @@ def test_main_run_error_paths(tmp_path, capsys):
     good.write_text(MINIMAL)
     assert main(["run", "--config", str(good), "--seeds", "1,zwei"]) == 1
     assert "--seeds" in capsys.readouterr().err
+
+
+def test_main_run_rejects_growing_lr_decay(tmp_path, capsys):
+    config_path = tmp_path / "decay.json"
+    config_path.write_text(json.dumps({
+        "K": 4, "T": 3, "method": "Static", "lr_decay": 1e200, "decay_step": 1,
+        "num_samples": 200,
+    }))
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'lr_decay'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_main_run_non_utf8_config_fails_cleanly(tmp_path, capsys):

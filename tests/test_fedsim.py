@@ -58,15 +58,19 @@ MLP = ModelSpec(ModelKind.MLP, input_dim=2, num_classes=3, hidden=4)
 
 
 def make_state(method_kind, clients, seed=0, **overrides):
+    """A state over ``clients``, a (pool, sizes) pair as ``partition`` returns."""
     spec = overrides.pop("model_spec", BINARY)
+    pool, sizes = clients
+    bounds = overrides.pop("bounds", None) or ResponseBounds.cross_silo(len(sizes))
     defaults = dict(
         master_seed=seed,
         model_spec=spec,
-        clients=clients,
+        pool=pool,
+        sizes=sizes,
         params=np.zeros(spec.param_length),
         method=AggregatorMethod(method_kind),
         cdf=CdfKind(CdfFamily.NORMAL),
-        bounds=ResponseBounds.cross_silo(len(clients)),
+        bounds=bounds,
         sampling_c=1.0,
         epochs=1,
         batch_size=20,
@@ -84,6 +88,20 @@ def make_state(method_kind, clients, seed=0, **overrides):
 def shards_for(k, n=120, seed=0, classes=2, dim=2):
     data = make_synthetic(n, dim, classes, seed=seed)
     return partition(data, PartitionSpec(PartitionScheme.IID, k=k, seed=seed))
+
+
+def pool_of(shards):
+    """The (pool, sizes) layout of a list of client datasets."""
+    pool = Dataset(
+        np.concatenate([s.features for s in shards]), np.concatenate([s.labels for s in shards])
+    )
+    return pool, np.array([len(s) for s in shards])
+
+
+def split(pool, sizes):
+    """Each client's rows of a (pool, sizes) layout as a dataset of its own."""
+    ends = np.cumsum(sizes)
+    return [pool.subset(slice(end - size, end)) for end, size in zip(ends, sizes)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +178,9 @@ def test_propensity_is_the_sampled_fraction(monkeypatch):
 
 def update_one(params, data, spec, *, rng, **kwargs):
     """client_update on a single client: its feedback, delta and diverged flag."""
-    [feedback], [delta], [diverged] = client_update(params, [data], spec, rngs=[rng], **kwargs)
+    [feedback], [delta], [diverged] = client_update(
+        params, data, np.array([len(data)]), spec, rngs=[rng], **kwargs
+    )
     return feedback, delta, diverged
 
 
@@ -277,6 +297,15 @@ def test_empty_shard_rejected():
         )
 
 
+def test_sizes_must_cover_the_rows():
+    data = make_synthetic(30, 2, 2, seed=1)
+    kwargs = dict(epochs=1, batch_size=10, lr=0.1, prox_mu=0.0, weight_decay=0.0)
+    for sizes in ([10, 10], [10, 25], [30, 0], []):
+        with pytest.raises(InvalidDimensionError):
+            client_update(np.zeros(3), data, np.array(sizes, dtype=int), BINARY,
+                          rngs=[], **kwargs)
+
+
 def per_client_update(params, data, spec, *, epochs, batch_size, lr, prox_mu, weight_decay, rng):
     """Reference: one client's feedback and SGD delta, trained alone, one
     minibatch per call; None if it diverged."""
@@ -313,7 +342,7 @@ def random_shards(spec, sizes, rng):
 
 def stacked_and_reference(params, shards, spec, seed, **kwargs):
     stacked = client_update(
-        params, shards, spec,
+        params, *pool_of(shards), spec,
         rngs=[np.random.default_rng([seed, i]) for i in range(len(shards))], **kwargs,
     )
     reference = [
@@ -366,7 +395,7 @@ def test_one_diverging_client_leaves_the_others_untouched():
     # The same clients without the bad one, with the same generators.
     kept = [0, 2, 3]
     alone_feedback, alone_deltas, alone_diverged = client_update(
-        params, [shards[i] for i in kept], TRI,
+        params, *pool_of([shards[i] for i in kept]), TRI,
         rngs=[np.random.default_rng([5, i]) for i in kept], **kwargs,
     )
     assert not alone_diverged.any()
@@ -442,9 +471,7 @@ def test_learning_rate_decay_schedule():
 
 def test_static_round_uses_size_proportional_decision():
     base = make_synthetic(60, 2, 2, seed=6)
-    clients = [base.subset(np.arange(0, 10)), base.subset(np.arange(10, 30)),
-               base.subset(np.arange(30, 60))]
-    state = make_state(MethodKind.STATIC, clients)
+    state = make_state(MethodKind.STATIC, (base, np.array([10, 20, 30])))
     report = run_round(state, 0)
     np.testing.assert_allclose(report.decision, [10 / 60, 20 / 60, 30 / 60])
     assert report.sampled_ids == [0, 1, 2]
@@ -468,11 +495,11 @@ def test_round_decision_normalizes_over_survivors():
 
 def test_diverged_client_is_dropped_with_warning(caplog):
     base = make_synthetic(90, 2, 3, seed=7)
-    clients = list(partition(base, PartitionSpec(PartitionScheme.IID, k=3, seed=7)))
+    clients = split(*partition(base, PartitionSpec(PartitionScheme.IID, k=3, seed=7)))
     bad = clients[1]
     clients[1] = Dataset(1e200 * np.ones_like(bad.features), bad.labels)
     state = make_state(
-        MethodKind.STATIC, clients, model_spec=TRI, lr=10.0, batch_size=15, epochs=2,
+        MethodKind.STATIC, pool_of(clients), model_spec=TRI, lr=10.0, batch_size=15, epochs=2,
     )
     with caplog.at_level(logging.WARNING, logger="fairagg.fedsim"):
         report = run_round(state, 0)
@@ -485,7 +512,9 @@ def test_diverged_client_is_dropped_with_warning(caplog):
 def test_all_clients_diverging_aborts_the_round():
     base = make_synthetic(30, 2, 3, seed=7)
     clients = [Dataset(1e200 * np.ones_like(base.features), base.labels)]
-    state = make_state(MethodKind.STATIC, clients, model_spec=TRI, lr=10.0, epochs=2, batch_size=15)
+    state = make_state(
+        MethodKind.STATIC, pool_of(clients), model_spec=TRI, lr=10.0, epochs=2, batch_size=15
+    )
     with pytest.raises(DivergenceError) as excinfo:
         run_round(state, 3)
     assert excinfo.value.round_index == 3
@@ -531,11 +560,8 @@ def dirichlet_shards(k=50, n=1000, seed=3):
 
 
 def test_clients_are_views_of_the_pool_in_client_order():
-    shards = dirichlet_shards()
-    state = make_state(MethodKind.AAGGFF_D, shards, sampling_c=0.2)
-    for client in state.clients:
-        assert np.shares_memory(client.features, state.pool.features)
-        assert np.shares_memory(client.labels, state.pool.labels)
+    shards = split(*dirichlet_shards())
+    state = make_state(MethodKind.AAGGFF_D, pool_of(shards), sampling_c=0.2)
     np.testing.assert_array_equal(
         state.pool.features, np.concatenate([s.features for s in shards])
     )
@@ -543,14 +569,15 @@ def test_clients_are_views_of_the_pool_in_client_order():
     np.testing.assert_array_equal(
         state.owner, np.repeat(np.arange(len(shards)), [len(s) for s in shards])
     )
-    for client, shard in zip(state.clients, shards):
-        np.testing.assert_array_equal(client.features, shard.features)
-        np.testing.assert_array_equal(client.labels, shard.labels)
+    for client, shard in enumerate(shards):
+        rows = slice(state.starts[client], state.starts[client] + state.sizes[client])
+        np.testing.assert_array_equal(state.pool.features[rows], shard.features)
+        np.testing.assert_array_equal(state.pool.labels[rows], shard.labels)
 
 
 def test_pooled_evaluation_matches_the_per_shard_loop():
-    shards = dirichlet_shards()
-    state = make_state(MethodKind.AAGGFF_D, shards, sampling_c=0.2)
+    shards = split(*dirichlet_shards())
+    state = make_state(MethodKind.AAGGFF_D, pool_of(shards), sampling_c=0.2)
     for t in range(4):
         report = run_round(state, t)
         per_shard = np.array([accuracy(BINARY, state.params, s) for s in shards])
@@ -560,7 +587,12 @@ def test_pooled_evaluation_matches_the_per_shard_loop():
 def test_clients_without_samples_are_rejected():
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     with pytest.raises(InvalidDimensionError):
-        make_state(MethodKind.STATIC, shards_for(2) + [empty])
+        make_state(MethodKind.STATIC, pool_of(split(*shards_for(2)) + [empty]))
+    pool, sizes = shards_for(2)
+    one = ResponseBounds.cross_silo(1)
+    for bad in (sizes[:1], np.array([0, len(pool)]), np.array([], dtype=np.int64)):
+        with pytest.raises(InvalidDimensionError):
+            make_state(MethodKind.STATIC, (pool, bad), bounds=one)
 
 
 def test_adaptive_methods_initialize_their_state():
@@ -588,8 +620,9 @@ def old_dispatch_round(state, t, ons, ftrl):
         np.random.SeedSequence([state.master_seed, fedsim._STREAM_SAMPLING, t])
     )
     sampled = sample_clients(k, state.sampling_c, rng)
+    shards = split(state.pool, state.sizes)
     feedback, deltas, diverged = client_update(
-        state.params, [state.clients[i] for i in sampled], state.model_spec,
+        state.params, *pool_of([shards[i] for i in sampled]), state.model_spec,
         epochs=state.epochs, batch_size=state.batch_size, lr=_effective_lr(state, t),
         prox_mu=state.prox_mu, weight_decay=state.weight_decay,
         rngs=[
@@ -614,7 +647,7 @@ def old_dispatch_round(state, t, ons, ftrl):
         gradient = decision_grad(state.decision, r)
     loss = decision_loss(state.decision, r)
     if kind in BASELINE_KINDS:
-        sizes = np.array([len(state.clients[i]) for i in survivors], dtype=float)
+        sizes = np.array([len(shards[i]) for i in survivors], dtype=float)
         decision = np.zeros(k)
         decision[survivors] = baseline_coefficients(state.method, sizes, feedbacks)
     elif kind is MethodKind.AAGGFF_S:
@@ -639,13 +672,13 @@ def old_dispatch_round(state, t, ons, ftrl):
 )
 def test_one_step_interface_matches_the_per_method_dispatch(kind, c):
     base = make_synthetic(240, 2, 3, seed=4)
-    clients = list(partition(base, PartitionSpec(PartitionScheme.IID, k=6, seed=4)))
+    clients = split(*partition(base, PartitionSpec(PartitionScheme.IID, k=6, seed=4)))
     # Client 2 overflows on its second SGD step whenever it is sampled.
     clients[2] = Dataset(1e200 * np.ones_like(clients[2].features), clients[2].labels)
 
     def fresh():
         return make_state(
-            kind, clients, seed=2, model_spec=TRI, sampling_c=c,
+            kind, pool_of(clients), seed=2, model_spec=TRI, sampling_c=c,
             bounds=ResponseBounds.cross_silo(6),
         )
 
@@ -683,11 +716,11 @@ def test_one_step_interface_matches_the_per_method_dispatch(kind, c):
 def test_rounds_stay_on_the_simplex_and_drop_the_diverging_client(kind, k, c, bad, seed):
     bad %= k
     data = make_synthetic(40 * k, 2, 3, seed=1)
-    clients = list(partition(data, PartitionSpec(PartitionScheme.IID, k=k, seed=1)))
+    clients = split(*partition(data, PartitionSpec(PartitionScheme.IID, k=k, seed=1)))
     # The bad client overflows on its second SGD step whenever it is sampled.
     clients[bad] = Dataset(1e200 * np.ones_like(clients[bad].features), clients[bad].labels)
     state = make_state(
-        kind, clients, seed=seed, model_spec=TRI, sampling_c=c,
+        kind, pool_of(clients), seed=seed, model_spec=TRI, sampling_c=c,
         bounds=ResponseBounds.cross_silo(k),
     )
     for t in range(4):

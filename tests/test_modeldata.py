@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairagg.errors import DomainError, InvalidDimensionError, NumericalFailureError
@@ -95,6 +95,12 @@ def fingerprint(shard: Dataset) -> set:
     return {(tuple(f), int(l)) for f, l in zip(shard.features, shard.labels)}
 
 
+def split(pool, sizes):
+    """Each client's rows of a (pool, sizes) layout as a dataset of its own."""
+    ends = np.cumsum(sizes)
+    return [pool.subset(slice(end - size, end)) for end, size in zip(ends, sizes)]
+
+
 @pytest.mark.parametrize(
     "scheme",
     [PartitionScheme.IID, PartitionScheme.DIRICHLET, PartitionScheme.PATHOLOGICAL],
@@ -102,7 +108,7 @@ def fingerprint(shard: Dataset) -> set:
 def test_partition_is_disjoint_and_exhaustive(scheme):
     data = make_synthetic(300, 2, 4, seed=5)
     spec = PartitionSpec(scheme, k=7, seed=5, alpha=0.3, classes_per_client=2)
-    shards = partition(data, spec)
+    shards = split(*partition(data, spec))
     assert len(shards) == 7
     assert all(len(s) >= 1 for s in shards)
     assert sum(len(s) for s in shards) == 300
@@ -116,14 +122,14 @@ def test_partition_is_disjoint_and_exhaustive(scheme):
 
 def test_iid_partition_splits_evenly():
     data = make_synthetic(100, 2, 2, seed=0)
-    shards = partition(data, PartitionSpec(PartitionScheme.IID, k=4, seed=0))
-    assert [len(s) for s in shards] == [25, 25, 25, 25]
+    _, sizes = partition(data, PartitionSpec(PartitionScheme.IID, k=4, seed=0))
+    assert sizes.tolist() == [25, 25, 25, 25]
 
 
 def test_pathological_partition_limits_label_variety():
     data = make_synthetic(600, 2, 6, seed=8)
     spec = PartitionSpec(PartitionScheme.PATHOLOGICAL, k=6, seed=8, classes_per_client=2)
-    for shard in partition(data, spec):
+    for shard in split(*partition(data, spec)):
         assert np.unique(shard.labels).size == 2
 
 
@@ -141,7 +147,7 @@ def test_dirichlet_concentration_controls_heterogeneity():
     def mean_entropy(alpha, seed):
         spec = PartitionSpec(PartitionScheme.DIRICHLET, k=10, seed=seed, alpha=alpha)
         out = []
-        for shard in partition(data, spec):
+        for shard in split(*partition(data, spec)):
             freq = np.bincount(shard.labels, minlength=5) / len(shard)
             nz = freq[freq > 0]
             out.append(-float((nz * np.log(nz)).sum()))
@@ -157,8 +163,8 @@ def test_dirichlet_concentration_controls_heterogeneity():
 def test_partition_seed_determinism():
     data = make_synthetic(300, 2, 4, seed=5)
     spec = PartitionSpec(PartitionScheme.DIRICHLET, k=5, seed=77, alpha=0.1)
-    a = partition(data, spec)
-    b = partition(data, spec)
+    a = split(*partition(data, spec))
+    b = split(*partition(data, spec))
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x.features, y.features)
         np.testing.assert_array_equal(x.labels, y.labels)
@@ -168,6 +174,114 @@ def test_partition_rejects_more_clients_than_samples():
     data = make_synthetic(10, 2, 2, seed=0)
     with pytest.raises(DomainError):
         partition(data, PartitionSpec(PartitionScheme.IID, k=11, seed=0))
+
+
+def _reference_require_min_one(shards: list[np.ndarray]) -> list[np.ndarray]:
+    """Move samples from the largest shard until every shard is nonempty."""
+    shards = [np.asarray(s, dtype=int) for s in shards]
+    for i, shard in enumerate(shards):
+        if shard.size == 0:
+            largest = max(range(len(shards)), key=lambda j: shards[j].size)
+            if shards[largest].size <= 1:
+                raise DomainError("not enough samples to give every client one")
+            shards[i] = shards[largest][-1:]
+            shards[largest] = shards[largest][:-1]
+    return shards
+
+
+def reference_partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
+    """Reference: the split as one dataset per client, built from per-client
+    index lists, which ``partition`` must reproduce row for row."""
+    n = len(dataset)
+    if spec.k > n:
+        raise DomainError(f"cannot split {n} samples across {spec.k} clients")
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
+    labels = dataset.labels
+    classes = np.unique(labels)
+
+    if spec.scheme is PartitionScheme.IID:
+        order = rng.permutation(n)
+        shards = [np.sort(s) for s in np.array_split(order, spec.k)]
+
+    elif spec.scheme is PartitionScheme.DIRICHLET:
+        proportions = rng.dirichlet(spec.alpha * np.ones(classes.size), size=spec.k)
+        shards = [[] for _ in range(spec.k)]
+        for col, cls in enumerate(classes):
+            pool = np.flatnonzero(labels == cls)
+            pool = pool[rng.permutation(pool.size)]
+            weights = proportions[:, col]
+            total = weights.sum()
+            weights = np.full(spec.k, 1.0 / spec.k) if total <= 0 else weights / total
+            quota = weights * pool.size
+            counts = np.floor(quota).astype(int)
+            shortfall = pool.size - int(counts.sum())
+            if shortfall > 0:
+                order = np.argsort(-(quota - counts), kind="stable")
+                counts[order[:shortfall]] += 1
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            for k in range(spec.k):
+                shards[k].extend(pool[offsets[k]:offsets[k + 1]].tolist())
+        shards = [np.sort(np.asarray(s, dtype=int)) for s in shards]
+
+    else:
+        m = spec.classes_per_client
+        if spec.k * m < classes.size:
+            raise DomainError(
+                f"{spec.k} clients x {m} classes cannot cover {classes.size} classes"
+            )
+        owners: dict[int, list[int]] = {int(c): [] for c in classes}
+        for k in range(spec.k):
+            for j in range(m):
+                cls = int(classes[(k * m + j) % classes.size])
+                owners[cls].append(k)
+        shards = [[] for _ in range(spec.k)]
+        for cls, owning in owners.items():
+            pool = np.flatnonzero(labels == cls)
+            pool = pool[rng.permutation(pool.size)]
+            for part, k in zip(np.array_split(pool, len(owning)), owning):
+                shards[k].extend(part.tolist())
+        shards = [np.sort(np.asarray(s, dtype=int)) for s in shards]
+
+    return [dataset.subset(s) for s in _reference_require_min_one(shards)]
+
+
+@st.composite
+def partition_cases(draw):
+    """(samples, classes, spec), with K often close to the sample count."""
+    classes = draw(st.integers(2, 20))
+    n = draw(st.integers(classes, 150))
+    k = draw(st.one_of(st.integers(1, n), st.integers(max(1, n - 5), n)))
+    spec = PartitionSpec(
+        draw(st.sampled_from(list(PartitionScheme))),
+        k=k,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        alpha=10.0 ** draw(st.floats(-3.0, 2.0)),
+        classes_per_client=draw(st.integers(1, 2 * classes)),
+    )
+    return n, classes, spec
+
+
+# The examples leave clients empty before the donation step: 3 of 60 under a
+# near-one-hot Dirichlet, and 2 of 4 when Pathological gives each of 2 classes
+# (2 rows each) four holders.
+@settings(deadline=None, max_examples=200)
+@example((100, 20, PartitionSpec(PartitionScheme.DIRICHLET, k=60, seed=0, alpha=0.001)))
+@example((4, 2, PartitionSpec(PartitionScheme.PATHOLOGICAL, k=4, seed=0, classes_per_client=2)))
+@given(case=partition_cases())
+def test_partition_matches_the_per_client_reference(case):
+    n, classes, spec = case
+    data = make_synthetic(n, 2, classes, seed=spec.seed)
+    try:
+        shards = reference_partition(data, spec)
+    except DomainError:
+        with pytest.raises(DomainError):
+            partition(data, spec)
+        return
+    pool, sizes = partition(data, spec)
+    assert sizes.tolist() == [len(s) for s in shards]
+    assert sizes.min() >= 1
+    np.testing.assert_array_equal(pool.features, np.concatenate([s.features for s in shards]))
+    np.testing.assert_array_equal(pool.labels, np.concatenate([s.labels for s in shards]))
 
 
 # ---------------------------------------------------------------------------
