@@ -144,9 +144,12 @@ class OnsState:
     ``mat`` accumulates alpha*I + beta * sum of g g^T; ``rhs`` accumulates
     beta * <g, p> * g; ``grad_sum`` the plain gradient sum.  ``inv`` mirrors
     the inverse of ``mat`` via rank-1 updates, rebuilt every REFACTOR_EVERY
-    rounds.  It gives the unconstrained surrogate minimizer and drives the
-    exact metric projection of each decision; the projection is certified
-    against ``mat`` itself, so drift in ``inv`` cannot corrupt a decision.
+    rounds.  It gives the unconstrained surrogate minimizer
+    ``inv @ (rhs - grad_sum)`` and drives the exact metric projection of each
+    decision.  The projection is certified against ``mat`` itself, but the
+    point it projects comes from ``inv``, so drift in ``inv`` moves the
+    decision without any error; the rebuild every REFACTOR_EVERY rounds
+    bounds that drift.
     """
 
     round: int

@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -205,11 +205,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             "config key 'seeds' must be a nonempty list of distinct nonnegative integers"
         )
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical form: every field explicit, keys sorted, stable separators."""
-    return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
 
 
 def resolve_bounds(cfg: ExperimentConfig) -> ResponseBounds:

@@ -16,7 +16,10 @@ warning and fails only when every sampled client diverged.
 
 Client data is one pooled dataset, each client's rows together in ascending
 client id, plus each client's row count; a round gathers the sampled clients'
-rows from it, and one prediction pass over it scores every client.
+rows from it, and one prediction pass over it scores every client.  Row
+counts are the only grouping the model layer is given: every grouped loss,
+gradient and accuracy call takes its rows one group after another with the
+groups' sizes.
 
 An adaptive method takes one ``step`` per round of the optimizer that
 ``aggregator.optimizer_init`` gave it; a closed-form baseline has none and
@@ -156,18 +159,17 @@ def client_update(
     # Overflow here is an expected, handled outcome (the client gets
     # dropped), so suppress the elementwise warnings instead of spewing them.
     with np.errstate(over="ignore", invalid="ignore"):
-        owner = np.repeat(np.arange(sizes.size), sizes)
-        feedback = group_loss(model_spec, received, data, owner)
+        feedback = group_loss(model_spec, received, data, sizes)
         diverged |= ~np.isfinite(feedback)
         for step in range(steps.max()):
             movers = np.flatnonzero((steps > step) & ~diverged)
             if movers.size == 0:
                 break
             batches = [schedules[j][step] for j in movers]
-            owner = np.repeat(np.arange(movers.size), [len(b) for b in batches])
+            counts = np.array([len(b) for b in batches])
             current = local[movers]
             loss, grad = loss_and_grad(
-                model_spec, current, data.subset(np.concatenate(batches)), owner
+                model_spec, current, data.subset(np.concatenate(batches)), counts
             )
             if prox_mu > 0.0:
                 grad = grad + prox_mu * (current - received)
@@ -253,8 +255,7 @@ class SimulationState:
     decision: np.ndarray = field(init=False)
     # The adaptive method's optimizer; None for a closed-form baseline.
     optimizer: OnsState | FtrlState | None = field(init=False)
-    # The client of each row, and each client's first row in the pool.
-    owner: np.ndarray = field(init=False)
+    # Each client's first row in the pool.
     starts: np.ndarray = field(init=False)
     # Each client's chance of being sampled in a round.
     propensity: float = field(init=False)
@@ -263,7 +264,6 @@ class SimulationState:
         if self.sizes.size == 0 or self.sizes.min() < 1 or self.sizes.sum() != len(self.pool):
             raise InvalidDimensionError("sizes must be nonempty, positive and cover the pool")
         k = self.sizes.size
-        self.owner = np.repeat(np.arange(k), self.sizes)
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.decision = uniform_decision(k)
         self.propensity = sample_size(k, self.sampling_c) / k
@@ -349,7 +349,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     state.params = server_apply(state.params, mixed_delta, state.server_opt)
     state.decision = new_decision
 
-    client_accuracy = accuracy(state.model_spec, state.params, state.pool, state.owner)
+    client_accuracy = accuracy(state.model_spec, state.params, state.pool, state.sizes)
     return RoundReport(
         round=t,
         sampled_ids=survivors.tolist(),

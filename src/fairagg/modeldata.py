@@ -255,18 +255,19 @@ def _row_losses(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def loss_and_grad(
-    spec: ModelSpec, params: np.ndarray, batch: Dataset, owner: np.ndarray | None = None
+    spec: ModelSpec, params: np.ndarray, batch: Dataset, sizes: np.ndarray | None = None
 ) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch and its exact gradient.
 
-    With ``owner`` (a nondecreasing group index per row, every group
-    0..S-1 nonempty) ``params`` is ``(S, P)``, one model per group, and the
-    call returns each group's mean loss ``(S,)`` and gradient ``(S, P)``
-    from one pass over the whole batch.  Rows never mix across groups, so a
-    non-finite group leaves the others untouched.
+    With ``sizes`` (entries >= 1 that sum to the rows) the batch holds S
+    groups one after another, ``sizes[g]`` rows for group g, and ``params``
+    is ``(S, P)``, one model per group; the call returns each group's mean
+    loss ``(S,)`` and gradient ``(S, P)`` from one pass over the whole
+    batch.  Rows never mix across groups, so a non-finite group leaves the
+    others untouched.
     """
     params = np.asarray(params, dtype=float)
-    if params.shape[-1:] != (spec.param_length,) or params.ndim != (1 if owner is None else 2):
+    if params.shape[-1:] != (spec.param_length,) or params.ndim != (1 if sizes is None else 2):
         raise InvalidDimensionError(
             f"expected {spec.param_length} parameters, got shape {params.shape}"
         )
@@ -275,12 +276,12 @@ def loss_and_grad(
     if len(batch) == 0:
         raise InvalidDimensionError("batch must be nonempty")
 
-    x, y, counts = batch.features, batch.labels, len(batch)
-    if owner is not None:
+    x, y = batch.features, batch.labels
+    counts = len(batch) if sizes is None else sizes
+    if sizes is not None:
         # Lay the groups out as (S, m) slots, group g's rows first in row g,
         # so every layer is one batched matmul; padded slots get zero
         # gradient and zero loss.
-        counts = np.bincount(owner)
         filled = np.arange(counts.max()) < counts[:, None]
         x = np.zeros(filled.shape + x.shape[1:])
         x[filled] = batch.features
@@ -289,7 +290,7 @@ def loss_and_grad(
 
     weights, inputs, logits = _forward(spec, params, x)
     losses, delta = _row_losses(logits, y)
-    if owner is None:
+    if sizes is None:
         delta /= counts
     else:
         losses = np.where(filled, losses, 0.0)
@@ -304,21 +305,20 @@ def loss_and_grad(
         if i:
             delta = (delta @ weights[i]) * a * (1.0 - a)
     loss = losses.sum(axis=-1) / counts
-    return (float(loss) if owner is None else loss), np.concatenate(grads, axis=-1)
+    return (float(loss) if sizes is None else loss), np.concatenate(grads, axis=-1)
 
 
 def group_loss(
-    spec: ModelSpec, params: np.ndarray, data: Dataset, owner: np.ndarray
+    spec: ModelSpec, params: np.ndarray, data: Dataset, sizes: np.ndarray
 ) -> np.ndarray:
     """Mean cross-entropy of one shared model within each group of rows.
 
-    ``owner`` is a nondecreasing group index per row with every group
-    nonempty.  No gradient is formed.
+    The rows hold the groups one after another, ``sizes[g]`` rows for group
+    g (entries >= 1 that sum to the rows).  No gradient is formed.
     """
     _, _, logits = _forward(spec, np.asarray(params, dtype=float), data.features)
     losses, _ = _row_losses(logits, data.labels)
-    counts = np.bincount(owner)
-    return np.add.reduceat(losses, np.cumsum(counts) - counts) / counts
+    return np.add.reduceat(losses, np.cumsum(sizes) - sizes) / sizes
 
 
 def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -332,19 +332,20 @@ def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.nda
 
 
 def accuracy(
-    spec: ModelSpec, params: np.ndarray, data: Dataset, owner: np.ndarray | None = None
+    spec: ModelSpec, params: np.ndarray, data: Dataset, sizes: np.ndarray | None = None
 ) -> float | np.ndarray:
     """Fraction of rows predicted correctly.
 
-    With ``owner`` (one group index per row) it returns the fraction within
-    each group 0..max(owner) instead, from a single prediction pass.  The
+    With ``sizes`` (the rows hold groups one after another, ``sizes[g]``
+    rows for group g, entries >= 1 that sum to the rows) it returns the
+    fraction within each group instead, from a single prediction pass.  The
     correct count per group is an exact float and the division is the one
     ``mean`` makes, so each entry equals the scalar form on that group alone.
     """
     correct = predict(spec, params, data.features) == data.labels
-    if owner is None:
+    if sizes is None:
         return float(correct.mean())
-    return np.bincount(owner, weights=correct) / np.bincount(owner)
+    return np.add.reduceat(correct.astype(float), np.cumsum(sizes) - sizes) / sizes
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:

@@ -71,6 +71,8 @@ class ResponseBounds:
     @classmethod
     def cross_silo(cls, k: int) -> "ResponseBounds":
         # Few, always-available clients: cap each response at 1/k.
+        if k < 1:
+            raise DomainError(f"need at least one client, got k={k}")
         return cls(0.0, 1.0 / k)
 
     @classmethod
@@ -79,18 +81,15 @@ class ResponseBounds:
         return cls(0.0, sampling_fraction)
 
 
-def erf(x):
-    """Gauss error function via a rational approximation (|error| <= 1.5e-7).
+_math_erf = np.frompyfunc(math.erf, 1, 1)
 
-    Elementwise over an array; a scalar gives a 0-d array.
+
+def erf(x):
+    """Gauss error function: ``math.erf`` at every element of an array.
+
+    A scalar gives a 0-d array.
     """
-    x = np.asarray(x, dtype=float)
-    sign = np.where(x >= 0.0, 1.0, -1.0)
-    x = np.abs(x)
-    t = 1.0 / (1.0 + 0.3275911 * x)
-    poly = t * (0.254829592 + t * (-0.284496736 + t * (1.421413741
-                + t * (-1.453152027 + t * 1.061405429))))
-    return sign * (1.0 - poly * np.exp(-x * x))
+    return np.asarray(_math_erf(np.asarray(x, dtype=float)), dtype=float)
 
 
 def _cdf_values(kind: CdfKind, x: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from fairagg.cli import (
     resolve_cdf,
     run_experiment,
     sequence_regret,
-    serialize_config,
     synthetic_responses,
     write_results,
 )
@@ -188,13 +187,6 @@ def test_non_finite_floats_rejected(extra, key):
     # a 401-digit integer overflows the first float operation.
     with pytest.raises(ConfigError, match=f"config key '{key}' must be float, got "):
         parse_config('{"K": 4, "T": 5, ' + extra + "}")
-
-
-def test_serialization_round_trip_is_stable():
-    once = serialize_config(parse_config(MINIMAL))
-    twice = serialize_config(parse_config(once))
-    assert once == twice
-    assert json.loads(once)["seeds"] == [0]
 
 
 # ---------------------------------------------------------------------------

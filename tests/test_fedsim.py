@@ -566,9 +566,6 @@ def test_clients_are_views_of_the_pool_in_client_order():
         state.pool.features, np.concatenate([s.features for s in shards])
     )
     np.testing.assert_array_equal(state.pool.labels, np.concatenate([s.labels for s in shards]))
-    np.testing.assert_array_equal(
-        state.owner, np.repeat(np.arange(len(shards)), [len(s) for s in shards])
-    )
     for client, shard in enumerate(shards):
         rows = slice(state.starts[client], state.starts[client] + state.sizes[client])
         np.testing.assert_array_equal(state.pool.features[rows], shard.features)

@@ -320,10 +320,10 @@ def test_zero_params_give_log_num_classes_loss():
 def test_gradient_matches_finite_differences(spec, classes, sizes):
     data = make_synthetic(40, spec.input_dim, classes, seed=14)
     rng = np.random.default_rng(14)
-    owner = None if sizes is None else np.repeat(np.arange(len(sizes)), sizes)
+    sizes = None if sizes is None else np.array(sizes)
     shape = (spec.param_length,) if sizes is None else (len(sizes), spec.param_length)
     params = 0.5 * rng.standard_normal(shape)
-    _, grad = loss_and_grad(spec, params, data, owner)
+    _, grad = loss_and_grad(spec, params, data, sizes)
     assert grad.shape == shape
 
     h = 1e-6
@@ -331,8 +331,8 @@ def test_gradient_matches_finite_differences(spec, classes, sizes):
     for i in np.ndindex(params.shape):
         e = np.zeros_like(params)
         e[i] = h
-        up, _ = loss_and_grad(spec, params + e, data, owner)
-        down, _ = loss_and_grad(spec, params - e, data, owner)
+        up, _ = loss_and_grad(spec, params + e, data, sizes)
+        down, _ = loss_and_grad(spec, params - e, data, sizes)
         numeric[i] = (np.sum(up) - np.sum(down)) / (2 * h)
     scale = max(1.0, float(np.max(np.abs(numeric))))
     assert float(np.max(np.abs(grad - numeric))) / scale <= 1e-5
@@ -345,7 +345,7 @@ def test_loss_rejects_bad_params_and_batches():
     with pytest.raises(NumericalFailureError):
         loss_and_grad(BINARY, np.array([np.inf, 0.0, 0.0]), data)
     with pytest.raises(InvalidDimensionError):  # grouped form needs (S, P)
-        loss_and_grad(BINARY, np.zeros(3), data, np.zeros(10, dtype=np.int64))
+        loss_and_grad(BINARY, np.zeros(3), data, np.array([10]))
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     with pytest.raises(InvalidDimensionError):
         loss_and_grad(BINARY, np.zeros(3), empty)
@@ -376,12 +376,11 @@ def test_grouped_accuracy_equals_per_shard_accuracy(sizes, spec, seed):
         2.0 * rng.standard_normal((n, spec.input_dim)),
         rng.integers(0, spec.num_classes, size=n),
     )
-    owner = np.repeat(np.arange(len(sizes)), sizes)
     params = rng.standard_normal(spec.param_length)
     ends = np.cumsum(sizes)
     shards = [pooled.subset(np.arange(end - size, end)) for end, size in zip(ends, sizes)]
 
-    grouped = accuracy(spec, params, pooled, owner)
+    grouped = accuracy(spec, params, pooled, np.array(sizes))
     assert grouped.shape == (len(sizes),)
     assert grouped.tolist() == [accuracy(spec, params, shard) for shard in shards]
 
@@ -395,13 +394,12 @@ def test_grouped_loss_and_grad_equal_per_group_calls(sizes, spec, seed):
         2.0 * rng.standard_normal((n, spec.input_dim)),
         rng.integers(0, spec.num_classes, size=n),
     )
-    owner = np.repeat(np.arange(len(sizes)), sizes)
     params = rng.standard_normal((len(sizes), spec.param_length))
     ends = np.cumsum(sizes)
     shards = [pooled.subset(np.arange(end - size, end)) for end, size in zip(ends, sizes)]
 
-    loss, grad = loss_and_grad(spec, params, pooled, owner)
-    shared = group_loss(spec, params[0], pooled, owner)
+    loss, grad = loss_and_grad(spec, params, pooled, np.array(sizes))
+    shared = group_loss(spec, params[0], pooled, np.array(sizes))
     assert loss.shape == shared.shape == (len(sizes),)
     assert grad.shape == params.shape
     for g, shard in enumerate(shards):

@@ -148,16 +148,6 @@ def test_order_preservation():
         assert np.all(np.diff(out[order]) >= -1e-12)
 
 
-def scalar_erf(x: float) -> float:
-    """The rational erf approximation, one point at a time with ``math``."""
-    sign = 1.0 if x >= 0.0 else -1.0
-    x = abs(x)
-    t = 1.0 / (1.0 + 0.3275911 * x)
-    poly = t * (0.254829592 + t * (-0.284496736 + t * (1.421413741
-                + t * (-1.453152027 + t * 1.061405429))))
-    return sign * (1.0 - poly * math.exp(-x * x))
-
-
 def scalar_cdf(kind: CdfKind, x: float) -> float:
     """Reference CDF at one point, written with ``math`` and explicit guards."""
     a, b = kind.scale, kind.shape
@@ -176,7 +166,7 @@ def scalar_cdf(kind: CdfKind, x: float) -> float:
     if kind.family is CdfFamily.LOGISTIC:
         inner = -(x - a) / b
         return 0.0 if inner > 700.0 else 1.0 / (1.0 + math.exp(inner))
-    return 0.5 * (1.0 + scalar_erf((x - a) / (b * math.sqrt(2.0))))
+    return 0.5 * (1.0 + math.erf((x - a) / (b * math.sqrt(2.0))))
 
 
 _LOSS = st.one_of(
@@ -212,10 +202,15 @@ def test_vectorized_transform_matches_pointwise_cdf(losses, positive, family, sc
     np.testing.assert_allclose(out, pointwise, rtol=0.0, atol=few_ulp)
 
 
-def test_erf_rational_approximation_accuracy():
+def test_erf_matches_math_erf():
+    few_ulp = 4 * np.finfo(float).eps
     xs = np.linspace(-5.0, 5.0, 2001)
-    worst = max(abs(erf(float(x)) - math.erf(float(x))) for x in xs)
-    assert worst <= 1.5e-7
+    out = erf(xs)
+    assert out.shape == xs.shape and out.dtype == np.float64
+    expected = np.array([math.erf(float(x)) for x in xs])
+    np.testing.assert_allclose(out, expected, rtol=0.0, atol=few_ulp)
+    scalar = erf(0.5)
+    assert scalar.shape == () and abs(float(scalar) - math.erf(0.5)) <= few_ulp
 
 
 def test_bounds_validation_and_presets():
@@ -225,4 +220,10 @@ def test_bounds_validation_and_presets():
         ResponseBounds(0.5, 0.5)
     assert ResponseBounds.cross_silo(10) == ResponseBounds(0.0, 0.1)
     assert ResponseBounds.cross_device(0.01) == ResponseBounds(0.0, 0.01)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_cross_silo_bounds_need_a_client(k):
+    with pytest.raises(DomainError, match="at least one client"):
+        ResponseBounds.cross_silo(k)
 
