@@ -141,10 +141,10 @@ def eg_unified_step(prev: np.ndarray, response: np.ndarray, step: float) -> np.n
 class OnsState:
     """State of the quadratic-surrogate optimizer.
 
-    ``mat`` accumulates alpha*I + beta * sum of g g^T; ``rhs`` accumulates
-    beta * <g, p> * g; ``grad_sum`` the plain gradient sum.  ``inv`` mirrors
-    the inverse of ``mat`` via rank-1 updates, rebuilt every REFACTOR_EVERY
-    rounds.  It gives the unconstrained surrogate minimizer
+    ``mat`` accumulates alpha*I + beta * sum of g g^T, with alpha = 4*k*l_inf;
+    ``rhs`` accumulates beta * <g, p> * g; ``grad_sum`` the plain gradient
+    sum.  ``inv`` mirrors the inverse of ``mat`` via rank-1 updates, rebuilt
+    every REFACTOR_EVERY rounds.  It gives the unconstrained surrogate minimizer
     ``inv @ (rhs - grad_sum)`` and drives the exact metric projection of each
     decision.  The projection is certified against ``mat`` itself, but the
     point it projects comes from ``inv``, so drift in ``inv`` moves the
@@ -156,7 +156,6 @@ class OnsState:
     grad_sum: np.ndarray
     mat: np.ndarray
     rhs: np.ndarray
-    alpha: float
     beta: float
     last_decision: np.ndarray
     inv: np.ndarray
@@ -178,7 +177,6 @@ def ons_init(k: int, l_inf: float) -> OnsState:
         grad_sum=np.zeros(k),
         mat=alpha * np.eye(k),
         rhs=np.zeros(k),
-        alpha=alpha,
         beta=beta,
         last_decision=uniform_decision(k),
         inv=np.eye(k) / alpha,
@@ -230,7 +228,6 @@ def aaggff_s_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.n
         grad_sum=grad_sum,
         mat=mat,
         rhs=rhs,
-        alpha=state.alpha,
         beta=state.beta,
         last_decision=decision,
         inv=inv,

@@ -74,11 +74,14 @@ def cumulative_regret(decisions, responses) -> tuple[float, np.ndarray]:
     k = decisions[0].size
     resp = np.stack(responses)
 
+    # Both sides evaluate -log(1 + <p, r>) per round and add the rounds with
+    # one np.sum, so a log whose decisions equal the hindsight point (as every
+    # decision does at K=1) has regret exactly 0.
     def fun(p: np.ndarray) -> tuple[float, np.ndarray]:
         rp = resp @ p
-        return -float(np.sum(np.log1p(rp))), -(resp / (1.0 + rp)[:, None]).sum(axis=0)
+        return -float(np.sum(np.log(1.0 + rp))), -(resp / (1.0 + rp)[:, None]).sum(axis=0)
 
     hindsight = minimize_over_simplex(fun, k)
-    incurred = sum(decision_loss(p, r) for p, r in zip(decisions, responses))
+    incurred = float(np.sum([decision_loss(p, r) for p, r in zip(decisions, responses)]))
     regret = incurred - fun(hindsight)[0]
     return float(regret), hindsight

@@ -120,13 +120,6 @@ def _cdf_values(kind: CdfKind, x: np.ndarray) -> np.ndarray:
     raise DomainError(f"unknown CDF family {kind.family!r}")
 
 
-def cdf_eval(kind: CdfKind, x: float) -> float:
-    """Evaluate the chosen CDF at a nonnegative point; result in [0, 1]."""
-    if x < 0.0:
-        raise DomainError(f"CDF input must be nonnegative, got {x}")
-    return float(_cdf_values(kind, np.array([x], dtype=float))[0])
-
-
 def transform_losses(
     losses: np.ndarray, kind: CdfKind, bounds: ResponseBounds
 ) -> np.ndarray:

@@ -220,7 +220,7 @@ def test_criterion_05_ons_kkt_residuals():
             history.append((g, decision))
             state, decision = aaggff_s_step(state, g)
 
-            mat = state.alpha * np.eye(k)
+            mat = 4 * k * bounds.c2 * np.eye(k)
             rhs = np.zeros(k)
             grad_sum = np.zeros(k)
             for g_s, p_s in history:

@@ -163,7 +163,6 @@ def test_unification_on_random_instances(kind):
 
 def test_ons_init_shapes_and_first_decision():
     state = ons_init(4, l_inf=0.25)
-    assert state.alpha == pytest.approx(4.0)
     assert state.beta == pytest.approx(1.0)
     np.testing.assert_allclose(state.last_decision, np.full(4, 0.25))
     np.testing.assert_allclose(state.mat, 4.0 * np.eye(4))
@@ -216,7 +215,7 @@ def test_ons_two_steps_match_grid_search():
         state, decision = aaggff_s_step(state, g)
 
     # Rebuild the surrogate from raw history and grid-search the segment.
-    alpha, beta = state.alpha, state.beta
+    alpha, beta = 4 * 2 * 0.5, state.beta  # alpha = 4 k l_inf
     mat = alpha * np.eye(2)
     rhs = np.zeros(2)
     grad_sum = np.zeros(2)

@@ -458,6 +458,13 @@ def test_main_regret_bench(tmp_path, capsys):
         assert math.isfinite(float(regret))
 
 
+def test_regret_bench_single_client_passes(capsys):
+    # One client leaves one decision, so the regret is 0 and must meet even
+    # AAggFFD's bound, which log K = 0 makes 0 too.
+    assert main(["regret-bench", "--clients", "1", "--rounds", "100"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_invalid_explicit_bounds_fail_at_build_time(tmp_path):
     cfg = small_config(tmp_path, bounds_mode="Explicit", c1=0.5, c2=0.1)
     with pytest.raises(DomainError):

@@ -106,6 +106,15 @@ def test_zero_responses_give_zero_regret():
     assert regret == pytest.approx(0.0, abs=1e-9)
 
 
+def test_single_client_regret_is_exactly_zero():
+    # At K=1 every decision is [1.0], the hindsight point itself, so the
+    # played and hindsight losses are the same numbers, added the same way.
+    responses = list(np.random.default_rng(1).uniform(0.0, 1.0, size=(100, 1)))
+    regret, hindsight = cumulative_regret([np.array([1.0])] * 100, responses)
+    assert regret == 0.0
+    np.testing.assert_array_equal(hindsight, [1.0])
+
+
 def test_constant_response_regret_hand_value():
     # Uniform play against r = (1, 0): each round costs ln 2 - ln 1.5 over
     # the hindsight optimum at the first vertex.
