@@ -1,18 +1,25 @@
 """Deterministic federated orchestration.
 
-One round: sample clients, collect feedback losses on the broadcast model,
+One round: sample clients, read their feedback losses on the broadcast model,
 train locally, turn feedbacks into bounded responses, step the aggregator,
-renormalize the decision over the sampled set, mix the deltas, and apply the
-server optimizer.  The master seed fans out to per-round and per-client
-substreams through seed sequences, so results never depend on client
-execution order; deltas are always reduced in ascending client id.
+renormalize the decision over the sampled set, mix the deltas, apply the
+server optimizer, and evaluate every client.  The master seed fans out to
+per-round and per-client substreams through seed sequences, so results never
+depend on client execution order; deltas are always reduced in ascending
+client id.
 
-The sampled clients train together: their feedback is one grouped loss and
-each local SGD step is one stacked gradient pass over every still-training
-client's minibatch.  ``client_update`` returns arrays over the sampled
-clients: feedback ``(S,)``, deltas ``(S, P)`` and a diverged mask ``(S,)``.
-A diverged client's rows hold no usable values; the round drops it with a
-warning and fails only when every sampled client diverged.
+The model passes over the pool once per round.  The evaluation that ends
+round t keeps every pool row's logits; they belong to the parameters round
+t+1 broadcasts, so that round's feedback is the loss over the sampled rows'
+kept logits, with no forward pass of its own.
+
+The sampled clients train together: each local SGD step is one stacked
+gradient pass over every still-training client's minibatch.
+``client_update`` returns arrays over the clients it trains: deltas
+``(S, P)`` and a diverged mask ``(S,)``.  A client with non-finite feedback
+is not trained, and a diverged client's delta holds no usable values; the
+round drops both with a warning and fails only when every sampled client was
+dropped.
 
 Client data is one pooled dataset, each client's rows together in ascending
 client id, plus each client's row count; a round gathers the sampled clients'
@@ -51,6 +58,7 @@ from .modeldata import (
     ModelSpec,
     accuracy,
     epoch_batches,
+    forward_logits,
     group_loss,
     loss_and_grad,
 )
@@ -123,25 +131,21 @@ def client_update(
     prox_mu: float,
     weight_decay: float,
     rngs: list[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate feedback on the received model, then run local SGD, for
-    every client at once.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run local SGD from the received model for every client at once.
 
     ``data`` holds the clients' rows one client after another, ``sizes[i]``
-    of them for client i.  Feedback is measured strictly before any training
-    step, as one grouped loss over all the rows.  Each client shuffles its
-    own rows with its own generator every epoch and walks them in
-    minibatches; SGD step s moves every client that still has an s-th
-    minibatch, with one ``loss_and_grad`` call over those minibatches
-    stacked together.  With prox_mu > 0 every step pulls back toward the
-    received parameters.
+    of them for client i.  Each client shuffles its own rows with its own
+    generator every epoch and walks them in minibatches; SGD step s moves
+    every client that still has an s-th minibatch, with one
+    ``loss_and_grad`` call over those minibatches stacked together.  With
+    prox_mu > 0 every step pulls back toward the received parameters.
 
-    Returns ``(feedback, deltas, diverged)`` in the order of ``sizes``: each
-    client's loss on the received model ``(S,)``, the received parameters
-    minus its final local ones ``(S, P)``, and a boolean mask ``(S,)``.  A
-    client whose feedback, loss, gradient or parameters become non-finite
-    stops training and is marked in ``diverged``; nothing is raised, and its
-    rows of ``feedback`` and ``deltas`` must not be used.
+    Returns ``(deltas, diverged)`` in the order of ``sizes``: the received
+    parameters minus each client's final local ones ``(S, P)``, and a
+    boolean mask ``(S,)``.  A client whose loss, gradient or parameters
+    become non-finite stops training and is marked in ``diverged``; nothing
+    is raised, and its row of ``deltas`` must not be used.
     """
     if sizes.size == 0 or sizes.min() < 1 or sizes.sum() != len(data):
         raise InvalidDimensionError("sizes must be nonempty, positive and cover the data")
@@ -159,8 +163,6 @@ def client_update(
     # Overflow here is an expected, handled outcome (the client gets
     # dropped), so suppress the elementwise warnings instead of spewing them.
     with np.errstate(over="ignore", invalid="ignore"):
-        feedback = group_loss(model_spec, received, data, sizes)
-        diverged |= ~np.isfinite(feedback)
         for step in range(steps.max()):
             movers = np.flatnonzero((steps > step) & ~diverged)
             if movers.size == 0:
@@ -186,7 +188,7 @@ def client_update(
             local[movers[ok]] = stepped[ok]
             diverged[movers[~ok]] = True
 
-    return feedback, received - local, diverged
+    return received - local, diverged
 
 
 def server_apply(
@@ -259,6 +261,12 @@ class SimulationState:
     starts: np.ndarray = field(init=False)
     # Each client's chance of being sampled in a round.
     propensity: float = field(init=False)
+    # Every pool row's logits, and the parameters array they were computed
+    # for; the evaluation that ends a round keeps them for the next round's
+    # feedback.  A caller changes the parameters by assigning a new array,
+    # never by writing into this one.
+    logits: np.ndarray | None = field(init=False, default=None)
+    logits_params: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.sizes.size == 0 or self.sizes.min() < 1 or self.sizes.sum() != len(self.pool):
@@ -278,8 +286,36 @@ def _effective_lr(state: SimulationState, t: int) -> float:
     return state.lr * state.lr_decay ** (t // state.decay_step)
 
 
+def _client_entropy(seed: int, t: int, clients: np.ndarray) -> np.ndarray:
+    """One ``SeedSequence`` entropy row per client, ``(S, W + 3)`` uint32.
+
+    Each row holds the words ``SeedSequence([seed, _STREAM_CLIENT, t,
+    client])`` reads from that list: the seed's W 32-bit words, low word
+    first (seed 0 gives one zero word), then the tag, the round and the
+    client id, one word each.  Both forms give the same streams.
+    """
+    seed = int(seed)
+    words = np.frombuffer(
+        seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little"), dtype="<u4"
+    )
+    entropy = np.empty((clients.size, words.size + 3), dtype=np.uint32)
+    entropy[:, :words.size] = words
+    entropy[:, -3] = _STREAM_CLIENT
+    entropy[:, -2] = t
+    entropy[:, -1] = clients
+    return entropy
+
+
 def run_round(state: SimulationState, t: int) -> RoundReport:
-    """Advance the simulation by one round and report all intermediates."""
+    """Advance the simulation by one round and report all intermediates.
+
+    Feedback is each sampled client's mean cross-entropy on the received
+    model, measured strictly before any training step, as one grouped loss
+    over the logits the last round's evaluation kept for these parameters.
+    If ``state.params`` is not the array those logits were computed for (in
+    round 0, or after a caller replaced it), the pool is evaluated first.  A
+    client with non-finite feedback is dropped without training.
+    """
     k = state.k
     sampling_rng = np.random.default_rng(
         np.random.SeedSequence([state.master_seed, _STREAM_SAMPLING, t])
@@ -290,23 +326,36 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     sizes = state.sizes[sampled]
     ends = np.cumsum(sizes)
     rows = np.repeat(state.starts[sampled] - (ends - sizes), sizes) + np.arange(ends[-1])
-    feedback, deltas, diverged = client_update(
-        state.params,
-        state.pool.subset(rows),
-        sizes,
-        state.model_spec,
-        epochs=state.epochs,
-        batch_size=state.batch_size,
-        lr=_effective_lr(state, t),
-        prox_mu=state.prox_mu,
-        weight_decay=state.weight_decay,
-        rngs=[
-            np.random.default_rng(
-                np.random.SeedSequence([state.master_seed, _STREAM_CLIENT, t, client_id])
+
+    # Overflowing logits are an expected, handled outcome (the client gets
+    # dropped), so suppress the elementwise warnings instead of spewing them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if state.logits_params is not state.params:
+            state.logits = forward_logits(
+                state.model_spec, state.params, state.pool.features, state.logits
             )
-            for client_id in sampled
-        ],
-    )
+            state.logits_params = state.params
+        feedback = group_loss(state.logits[rows], state.pool.labels[rows], sizes)
+    diverged = ~np.isfinite(feedback)
+    trains = ~diverged
+    if trains.any():
+        deltas, failed = client_update(
+            state.params,
+            state.pool.subset(rows[np.repeat(trains, sizes)]),
+            sizes[trains],
+            state.model_spec,
+            epochs=state.epochs,
+            batch_size=state.batch_size,
+            lr=_effective_lr(state, t),
+            prox_mu=state.prox_mu,
+            weight_decay=state.weight_decay,
+            rngs=[
+                np.random.default_rng(np.random.SeedSequence(entropy))
+                for entropy in _client_entropy(state.master_seed, t, sampled[trains])
+            ],
+        )
+        diverged[trains] = failed
+        deltas = deltas[~failed]
     for client_id in sampled[diverged]:
         logger.warning("dropping diverged client %d in round %d", client_id, t)
     survivors = sampled[~diverged]
@@ -344,12 +393,17 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     weights = normalize_selected(new_decision, survivors)
     # sum(axis=0) adds the rows one after another in client order, a fixed
     # reduction order; a matrix product may block and reorder the sums.
-    mixed_delta = (weights[:, None] * deltas[~diverged]).sum(axis=0)
+    mixed_delta = (weights[:, None] * deltas).sum(axis=0)
 
     state.params = server_apply(state.params, mixed_delta, state.server_opt)
     state.decision = new_decision
 
-    client_accuracy = accuracy(state.model_spec, state.params, state.pool, state.sizes)
+    # The next round's feedback reads these logits, computed for the
+    # parameters it receives.
+    client_accuracy = accuracy(
+        state.model_spec, state.params, state.pool, state.sizes, out=state.logits
+    )
+    state.logits_params = state.params
     return RoundReport(
         round=t,
         sampled_ids=survivors.tolist(),

@@ -241,17 +241,21 @@ def _forward(
     return weights, inputs, x
 
 
-def _row_losses(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-entropy of each row and its gradient with respect to the logits."""
+def _row_losses(logits: np.ndarray, y: np.ndarray, grad: bool = False):
+    """Cross-entropy of each row; with ``grad``, also its gradient with
+    respect to the logits."""
     if logits.shape[-1] == 1:
         prob = _sigmoid(logits[..., 0])
         clipped = np.clip(prob, 1e-12, 1.0 - 1e-12)
         losses = -(y * np.log(clipped) + (1 - y) * np.log(1.0 - clipped))
-        return losses, (prob - y)[..., None]
+        return (losses, (prob - y)[..., None]) if grad else losses
+    classes = logits.shape[-1]
     logp = _log_softmax(logits)
-    label = y[..., None]
-    resid = np.exp(logp) - (label == np.arange(logits.shape[-1]))
-    return -np.take_along_axis(logp, label, axis=-1)[..., 0], resid
+    # Row r's label entry sits at r * classes + label in the flat array.
+    losses = -logp.reshape(-1)[np.arange(y.size).reshape(y.shape) * classes + y]
+    if not grad:
+        return losses
+    return losses, np.exp(logp) - (y[..., None] == np.arange(classes))
 
 
 def loss_and_grad(
@@ -289,7 +293,7 @@ def loss_and_grad(
         y[filled] = batch.labels
 
     weights, inputs, logits = _forward(spec, params, x)
-    losses, delta = _row_losses(logits, y)
+    losses, delta = _row_losses(logits, y, grad=True)
     if sizes is None:
         delta /= counts
     else:
@@ -308,31 +312,68 @@ def loss_and_grad(
     return (float(loss) if sizes is None else loss), np.concatenate(grads, axis=-1)
 
 
-def group_loss(
-    spec: ModelSpec, params: np.ndarray, data: Dataset, sizes: np.ndarray
-) -> np.ndarray:
-    """Mean cross-entropy of one shared model within each group of rows.
+def group_loss(logits: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy within each group of rows, from the rows' logits.
 
     The rows hold the groups one after another, ``sizes[g]`` rows for group
     g (entries >= 1 that sum to the rows).  No gradient is formed.
     """
-    _, _, logits = _forward(spec, np.asarray(params, dtype=float), data.features)
-    losses, _ = _row_losses(logits, data.labels)
-    return np.add.reduceat(losses, np.cumsum(sizes) - sizes) / sizes
+    return np.add.reduceat(_row_losses(logits, labels), np.cumsum(sizes) - sizes) / sizes
 
 
-def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Class predictions for a feature matrix."""
-    _, _, logits = _forward(
-        spec, np.asarray(params, dtype=float), np.asarray(features, dtype=float)
-    )
+# Outputs of the widest layer that one block of a forward pass holds at most:
+# every temporary of the pass then stays near 64 KiB of float64, however
+# many rows are evaluated.
+BLOCK_ELEMENTS = 8192
+
+
+def _blocks(spec: ModelSpec, n: int) -> list[slice]:
+    """Consecutive row slices covering n rows in as few blocks as
+    BLOCK_ELEMENTS allows, their sizes differing by at most one.
+
+    Even sizes leave no one-row block behind a long one: numpy's matmul
+    takes its vector path for a single row, which rounds differently.
+    """
+    most = max(1, BLOCK_ELEMENTS // max(rows for rows, _ in _layer_shapes(spec)))
+    count = max(1, -(-n // most))
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
+def forward_logits(
+    spec: ModelSpec, params: np.ndarray, features: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Logits ``(n, outputs)`` of one model on every row, a block at a time.
+
+    In a pass over two rows or more, a row's logits do not depend on the
+    rows passed with it.  ``out``, if given, is an ``(n, outputs)`` float
+    array that receives them.
+    """
+    params = np.asarray(params, dtype=float)
+    features = np.asarray(features, dtype=float)
+    if out is None:
+        out = np.empty((len(features), _layer_shapes(spec)[-1][0]))
+    for rows in _blocks(spec, len(features)):
+        out[rows] = _forward(spec, params, features[rows])[2]
+    return out
+
+
+def _predicted(logits: np.ndarray) -> np.ndarray:
     if logits.shape[1] == 1:
         return (_sigmoid(logits[:, 0]) > 0.5).astype(np.int64)
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
+def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Class predictions for a feature matrix."""
+    return _predicted(forward_logits(spec, params, features))
+
+
 def accuracy(
-    spec: ModelSpec, params: np.ndarray, data: Dataset, sizes: np.ndarray | None = None
+    spec: ModelSpec,
+    params: np.ndarray,
+    data: Dataset,
+    sizes: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Fraction of rows predicted correctly.
 
@@ -341,8 +382,10 @@ def accuracy(
     fraction within each group instead, from a single prediction pass.  The
     correct count per group is an exact float and the division is the one
     ``mean`` makes, so each entry equals the scalar form on that group alone.
+    The logits come from ``forward_logits``, which writes them to ``out``
+    if given.
     """
-    correct = predict(spec, params, data.features) == data.labels
+    correct = _predicted(forward_logits(spec, params, data.features, out)) == data.labels
     if sizes is None:
         return float(correct.mean())
     return np.add.reduceat(correct.astype(float), np.cumsum(sizes) - sizes) / sizes

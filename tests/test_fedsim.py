@@ -2,6 +2,7 @@
 client updates, server optimizer steps, divergence handling, and bit-exact
 determinism across reruns and thread counts."""
 
+import dataclasses
 import logging
 import math
 
@@ -25,6 +26,7 @@ from fairagg.aggregator import (
 )
 from fairagg.errors import DivergenceError, DomainError, InvalidDimensionError
 from fairagg.fedsim import (
+    RoundReport,
     ServerOptKind,
     ServerOptimizer,
     SimulationState,
@@ -44,7 +46,7 @@ from fairagg.decision import (
     linearized_grad,
     lipschitz_constants,
 )
-from fairagg.modeldata import Dataset, ModelKind, ModelSpec, accuracy, epoch_batches, loss_and_grad, make_synthetic, partition, PartitionScheme, PartitionSpec
+from fairagg.modeldata import Dataset, ModelKind, ModelSpec, accuracy, epoch_batches, forward_logits, group_loss, init_params, loss_and_grad, make_synthetic, partition, PartitionScheme, PartitionSpec
 from fairagg.response import (
     CdfFamily,
     CdfKind,
@@ -176,11 +178,18 @@ def test_propensity_is_the_sampled_fraction(monkeypatch):
 # client updates
 # ---------------------------------------------------------------------------
 
+def feedback_of(params, pool, sizes, spec):
+    """Each client's mean loss on one model, from a forward pass of its own
+    over the clients' rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return group_loss(forward_logits(spec, params, pool.features), pool.labels, sizes)
+
+
 def update_one(params, data, spec, *, rng, **kwargs):
     """client_update on a single client: its feedback, delta and diverged flag."""
-    [feedback], [delta], [diverged] = client_update(
-        params, data, np.array([len(data)]), spec, rngs=[rng], **kwargs
-    )
+    sizes = np.array([len(data)])
+    [delta], [diverged] = client_update(params, data, sizes, spec, rngs=[rng], **kwargs)
+    [feedback] = feedback_of(params, data, sizes, spec)
     return feedback, delta, diverged
 
 
@@ -208,12 +217,13 @@ def test_single_sample_one_step_analytic_delta():
 
 def test_feedback_is_measured_before_training():
     data = make_synthetic(40, 2, 2, seed=2)
-    feedback, delta, _ = update_one(
-        np.zeros(3), data, BINARY, epochs=3, batch_size=10, lr=0.5,
-        prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
+    state = make_state(
+        MethodKind.STATIC, (data, np.array([40])), bounds=ResponseBounds.cross_silo(1),
+        epochs=3, batch_size=10, lr=0.5,
     )
-    assert feedback == pytest.approx(math.log(2.0))
-    assert np.any(delta != 0.0)
+    report = run_round(state, 0)
+    assert report.mean_feedback == pytest.approx(math.log(2.0))
+    assert np.any(state.params != 0.0)
 
 
 def test_prox_pull_is_inactive_on_the_first_step():
@@ -277,23 +287,51 @@ def test_parameter_overflow_is_flagged_even_with_finite_loss():
     assert diverged
 
 
-def test_non_finite_feedback_is_flagged_without_training():
+def trained_sizes(monkeypatch):
+    """Record the ``sizes`` of every client_update call run_round makes."""
+    seen = []
+    real = fedsim.client_update
+
+    def recording(params, data, sizes, *args, **kwargs):
+        seen.append(sizes.tolist())
+        return real(params, data, sizes, *args, **kwargs)
+
+    monkeypatch.setattr(fedsim, "client_update", recording)
+    return seen
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_feedback_is_flagged_without_training(monkeypatch):
     # Overflowing logits already on the received model: the client is
     # dropped on its feedback even with no local step to take.
-    data = Dataset(1e200 * np.ones((3, 2)), np.array([0, 1, 2], dtype=np.int64))
-    _, _, diverged = update_one(
-        np.full(TRI.param_length, 1e200), data, TRI, epochs=0, batch_size=3, lr=0.1,
-        prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
+    good = make_synthetic(6, 2, 3, seed=1)
+    bad = Dataset(1e200 * np.ones((3, 2)), np.array([0, 1, 2], dtype=np.int64))
+    state = make_state(
+        MethodKind.STATIC, pool_of([good, bad]), model_spec=TRI, epochs=0, batch_size=3,
+        params=np.full(TRI.param_length, 1e200),
     )
-    assert diverged
+    seen = trained_sizes(monkeypatch)
+    report = run_round(state, 0)
+    assert report.sampled_ids == [0]
+    assert seen == [[6]]
+
+
+def test_non_finite_global_model_aborts_the_round_without_training(monkeypatch):
+    # Every client's feedback is non-finite, so no client reaches
+    # loss_and_grad, which would refuse the non-finite parameters.
+    state = make_state(MethodKind.STATIC, shards_for(3), params=np.full(3, np.nan))
+    seen = trained_sizes(monkeypatch)
+    with pytest.raises(DivergenceError):
+        run_round(state, 0)
+    assert seen == []
 
 
 def test_empty_shard_rejected():
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     with pytest.raises(InvalidDimensionError):
-        update_one(
-            np.zeros(3), empty, BINARY, epochs=1, batch_size=1, lr=0.1,
-            prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
+        client_update(
+            np.zeros(3), empty, np.array([0]), BINARY, epochs=1, batch_size=1, lr=0.1,
+            prox_mu=0.0, weight_decay=0.0, rngs=[np.random.default_rng(0)],
         )
 
 
@@ -341,10 +379,14 @@ def random_shards(spec, sizes, rng):
 
 
 def stacked_and_reference(params, shards, spec, seed, **kwargs):
-    stacked = client_update(
-        params, *pool_of(shards), spec,
+    """The grouped feedback and client_update over every shard, and the
+    per-client reference."""
+    pool, sizes = pool_of(shards)
+    deltas, diverged = client_update(
+        params, pool, sizes, spec,
         rngs=[np.random.default_rng([seed, i]) for i in range(len(shards))], **kwargs,
     )
+    stacked = feedback_of(params, pool, sizes, spec), deltas, diverged
     reference = [
         per_client_update(params, shard, spec, rng=np.random.default_rng([seed, i]), **kwargs)
         for i, shard in enumerate(shards)
@@ -394,10 +436,12 @@ def test_one_diverging_client_leaves_the_others_untouched():
 
     # The same clients without the bad one, with the same generators.
     kept = [0, 2, 3]
-    alone_feedback, alone_deltas, alone_diverged = client_update(
-        params, *pool_of([shards[i] for i in kept]), TRI,
+    alone_pool, alone_sizes = pool_of([shards[i] for i in kept])
+    alone_deltas, alone_diverged = client_update(
+        params, alone_pool, alone_sizes, TRI,
         rngs=[np.random.default_rng([5, i]) for i in kept], **kwargs,
     )
+    alone_feedback = feedback_of(params, alone_pool, alone_sizes, TRI)
     assert not alone_diverged.any()
     np.testing.assert_array_equal(deltas[kept], alone_deltas)
     np.testing.assert_allclose(feedback[kept], alone_feedback, rtol=0.0, atol=1e-12)
@@ -529,6 +573,40 @@ def test_zero_learning_rate_freezes_the_model():
     np.testing.assert_array_equal(state.params, np.zeros(3))
 
 
+def test_replaced_parameters_are_evaluated_before_feedback():
+    # The kept logits belong to the old parameters; the next round must
+    # read feedback on the new ones, as a state built with them does.
+    replaced = 0.5 * np.random.default_rng(3).standard_normal(MLP.param_length)
+    state = make_state(MethodKind.STATIC, shards_for(5, classes=3), model_spec=MLP)
+    run_round(state, 0)
+    run_round(state, 1)
+    state.params = replaced.copy()
+    fresh = make_state(
+        MethodKind.STATIC, shards_for(5, classes=3), model_spec=MLP, params=replaced.copy()
+    )
+    fresh.decision = state.decision.copy()
+    report, expected = run_round(state, 2), run_round(fresh, 2)
+    assert report.mean_feedback == expected.mean_feedback
+    assert report.decision_loss == expected.decision_loss
+    np.testing.assert_array_equal(report.decision, expected.decision)
+    assert report.summary == expected.summary
+    np.testing.assert_array_equal(state.params, fresh.params)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+def test_client_entropy_rows_give_the_list_form_streams(seed):
+    clients = np.array([0, 1, 7, 999, 2**31])
+    for t in (0, 1, 41, 2**32 - 1):
+        for row, client in zip(fedsim._client_entropy(seed, t, clients), clients):
+            ours = np.random.SeedSequence(row)
+            listed = np.random.SeedSequence([seed, fedsim._STREAM_CLIENT, t, int(client)])
+            np.testing.assert_array_equal(ours.pool, listed.pool)
+            np.testing.assert_array_equal(
+                np.random.default_rng(ours).permutation(50),
+                np.random.default_rng(listed).permutation(50),
+            )
+
+
 def run_sim(seed, rounds=3, method=MethodKind.AAGGFF_D, c=0.5):
     state = make_state(
         method, shards_for(8, n=160, seed=1), seed=seed, sampling_c=c,
@@ -609,8 +687,11 @@ def test_adaptive_methods_initialize_their_state():
 def old_dispatch_round(state, t, ons, ftrl):
     """One round with the per-method dispatch the simulator had before the
     optimizers shared ``step``: each kind named, each step called directly.
+    Feedback comes from a forward pass of its own over the sampled clients'
+    rows on the received model, each client's generator from the list form
+    of its seed sequence, and the summary from one accuracy call per client.
 
-    Returns (sampled, survivors, decision loss, decision, ons, ftrl).
+    Returns (sampled, report, ons, ftrl).
     """
     k = state.k
     rng = np.random.default_rng(
@@ -618,17 +699,23 @@ def old_dispatch_round(state, t, ons, ftrl):
     )
     sampled = sample_clients(k, state.sampling_c, rng)
     shards = split(state.pool, state.sizes)
-    feedback, deltas, diverged = client_update(
-        state.params, *pool_of([shards[i] for i in sampled]), state.model_spec,
+    feedback = feedback_of(
+        state.params, *pool_of([shards[i] for i in sampled]), state.model_spec
+    )
+    trained = [i for i, f in zip(sampled, feedback) if np.isfinite(f)]
+    diverged = ~np.isfinite(feedback)
+    deltas, failed = client_update(
+        state.params, *pool_of([shards[i] for i in trained]), state.model_spec,
         epochs=state.epochs, batch_size=state.batch_size, lr=_effective_lr(state, t),
         prox_mu=state.prox_mu, weight_decay=state.weight_decay,
         rngs=[
             np.random.default_rng(
                 np.random.SeedSequence([state.master_seed, fedsim._STREAM_CLIENT, t, i])
             )
-            for i in sampled
+            for i in trained
         ],
     )
+    diverged[~diverged] = failed
     survivors = [i for i, bad in zip(sampled, diverged) if not bad]
     feedbacks = feedback[~diverged]
     responses = transform_losses(feedbacks, state.cdf, state.bounds)
@@ -652,11 +739,30 @@ def old_dispatch_round(state, t, ons, ftrl):
     else:
         ftrl, decision = aaggff_d_step(ftrl, gradient)
     mixed = np.zeros_like(state.params)
-    for weight, delta in zip(normalize_selected(decision, survivors), deltas[~diverged]):
+    for weight, delta in zip(normalize_selected(decision, survivors), deltas[~failed]):
         mixed += weight * delta
     state.params = server_apply(state.params, mixed, state.server_opt)
     state.decision = decision
-    return sampled, survivors, loss, decision, ons, ftrl
+    per_client = np.array([accuracy(state.model_spec, state.params, s) for s in shards])
+    report = RoundReport(
+        round=t,
+        sampled_ids=survivors,
+        mean_feedback=float(feedbacks.mean()),
+        decision_loss=loss,
+        decision=decision,
+        summary=performance_summary(per_client),
+    )
+    return sampled, report, ons, ftrl
+
+
+def reference_optimizers(state):
+    """The ONS and FTRL states old_dispatch_round steps for ``state``."""
+    constants = lipschitz_constants(state.bounds, state.propensity)
+    ons = ons_init(state.k, constants.l_inf)
+    ftrl = ftrl_init(
+        state.k, constants.l_inf if state.propensity == 1.0 else constants.l_inf_dr
+    )
+    return ons, ftrl
 
 
 # At C=1 client 2 is still dropped every round, so AAggFFD completes the
@@ -680,26 +786,59 @@ def test_one_step_interface_matches_the_per_method_dispatch(kind, c):
         )
 
     state, reference = fresh(), fresh()
-    constants = lipschitz_constants(reference.bounds, reference.propensity)
-    ons = ons_init(6, constants.l_inf)
-    ftrl = ftrl_init(
-        6, constants.l_inf if reference.propensity == 1.0 else constants.l_inf_dr
-    )
+    ons, ftrl = reference_optimizers(reference)
     dropped = 0
     for t in range(5):
         report = run_round(state, t)
-        sampled, survivors, loss, decision, ons, ftrl = old_dispatch_round(
-            reference, t, ons, ftrl
-        )
+        sampled, expected, ons, ftrl = old_dispatch_round(reference, t, ons, ftrl)
+        survivors = expected.sampled_ids
         dropped += len(sampled) - len(survivors)
         assert report.sampled_ids == survivors
-        assert report.decision_loss == loss
-        np.testing.assert_array_equal(report.decision, decision)
+        assert report.decision_loss == expected.decision_loss
+        np.testing.assert_array_equal(report.decision, expected.decision)
         assert np.all(report.decision >= 0.0)
         assert report.decision.sum() == pytest.approx(1.0)
         assert normalize_selected(report.decision, survivors).sum() == pytest.approx(1.0)
     np.testing.assert_array_equal(state.params, reference.params)
     assert dropped > 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    spec=st.sampled_from([BINARY, TRI, MLP]),
+    kind=st.sampled_from(list(MethodKind)),
+    k=st.integers(3, 8),
+    c=st.sampled_from([0.3, 1.0]),
+    epochs=st.sampled_from([0, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rounds_match_a_reference_with_its_own_feedback_pass(spec, kind, k, c, epochs, seed):
+    data = make_synthetic(30 * k, 2, spec.num_classes, seed=seed)
+    clients = split(*partition(
+        data, PartitionSpec(PartitionScheme.DIRICHLET, k=k, seed=seed, alpha=0.5)
+    ))
+
+    def fresh():
+        return make_state(
+            kind, pool_of(clients), seed=seed, model_spec=spec, sampling_c=c, epochs=epochs,
+            batch_size=7, params=init_params(spec, seed), bounds=ResponseBounds.cross_silo(k),
+            # PropFair needs every loss below its ceiling.
+            method=AggregatorMethod(kind, loss_ceiling=100.0),
+        )
+
+    state, reference = fresh(), fresh()
+    ons, ftrl = reference_optimizers(reference)
+    for t in range(5):
+        report = run_round(state, t)
+        _, expected, ons, ftrl = old_dispatch_round(reference, t, ons, ftrl)
+        assert report.sampled_ids == expected.sampled_ids
+        assert abs(report.mean_feedback - expected.mean_feedback) <= 1e-12
+        assert abs(report.decision_loss - expected.decision_loss) <= 1e-12
+        np.testing.assert_allclose(report.decision, expected.decision, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            dataclasses.astuple(report.summary), dataclasses.astuple(expected.summary),
+            rtol=0.0, atol=1e-12,
+        )
 
 
 @settings(deadline=None, max_examples=40)

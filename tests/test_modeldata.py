@@ -12,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairagg import modeldata
 from fairagg.errors import DomainError, InvalidDimensionError, NumericalFailureError
 from fairagg.modeldata import (
+    BLOCK_ELEMENTS,
     Dataset,
     ModelKind,
     ModelSpec,
@@ -21,6 +23,7 @@ from fairagg.modeldata import (
     PartitionSpec,
     accuracy,
     epoch_batches,
+    forward_logits,
     group_loss,
     init_params,
     loss_and_grad,
@@ -399,7 +402,9 @@ def test_grouped_loss_and_grad_equal_per_group_calls(sizes, spec, seed):
     shards = [pooled.subset(np.arange(end - size, end)) for end, size in zip(ends, sizes)]
 
     loss, grad = loss_and_grad(spec, params, pooled, np.array(sizes))
-    shared = group_loss(spec, params[0], pooled, np.array(sizes))
+    shared = group_loss(
+        forward_logits(spec, params[0], pooled.features), pooled.labels, np.array(sizes)
+    )
     assert loss.shape == shared.shape == (len(sizes),)
     assert grad.shape == params.shape
     for g, shard in enumerate(shards):
@@ -409,6 +414,59 @@ def test_grouped_loss_and_grad_equal_per_group_calls(sizes, spec, seed):
         np.testing.assert_allclose(
             shared[g], loss_and_grad(spec, params[0], shard)[0], rtol=1e-12, atol=1e-12
         )
+
+
+def block_rows(spec):
+    """The most rows one block of an evaluation pass holds."""
+    return BLOCK_ELEMENTS // max(rows for rows, _ in modeldata._layer_shapes(spec))
+
+
+# A wide MLP evaluates 512 rows a block, binary logistic regression 8192.
+WIDE_MLP = ModelSpec(ModelKind.MLP, input_dim=4, num_classes=4, hidden=16)
+
+
+@pytest.mark.parametrize("spec", [BINARY, MULTI, WIDE_MLP], ids=["binary", "multi", "mlp"])
+def test_blocked_evaluation_equals_one_unblocked_pass(spec):
+    block = block_rows(spec)
+    assert block == {BINARY: 8192, MULTI: 2048, WIDE_MLP: 512}[spec]
+    for n in (1, block - 1, block, block + 1, 3 * block + 7):
+        rng = np.random.default_rng(n)
+        data = Dataset(
+            2.0 * rng.standard_normal((n, spec.input_dim)),
+            rng.integers(0, spec.num_classes, size=n),
+        )
+        params = rng.standard_normal(spec.param_length)
+        sizes = n // 5 + (np.arange(min(n, 5)) < n % 5) if n >= 5 else np.ones(n, dtype=int)
+
+        whole = modeldata._forward(spec, params, data.features)[2]
+        kept = np.empty_like(whole)
+        grouped = accuracy(spec, params, data, sizes, out=kept)
+        assert kept.tobytes() == whole.tobytes()
+        assert forward_logits(spec, params, data.features).tobytes() == whole.tobytes()
+        correct = (modeldata._predicted(whole) == data.labels).astype(float)
+        expected = np.add.reduceat(correct, np.cumsum(sizes) - sizes) / sizes
+        assert grouped.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([BINARY, MULTI, WIDE_MLP]), st.integers(0, 2**32 - 1))
+def test_logits_of_a_row_subset_equal_the_full_pass(spec, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 3 * block_rows(spec)))
+    features = 2.0 * rng.standard_normal((n, spec.input_dim))
+    params = rng.standard_normal(spec.param_length)
+    # A single row takes numpy's vector path, which rounds differently.
+    rows = np.sort(rng.choice(n, size=int(rng.integers(min(n, 2), n + 1)), replace=False))
+    full = forward_logits(spec, params, features)
+    assert forward_logits(spec, params, features[rows]).tobytes() == full[rows].tobytes()
+
+
+def test_group_loss_reads_the_label_entry_of_each_row():
+    logits = np.array([[0.0, 1.0, 2.0], [3.0, -1.0, 0.5]])
+    labels = np.array([2, 0])
+    logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    expected = -(logp[0, 2] + logp[1, 0]) / 2
+    assert group_loss(logits, labels, np.array([2]))[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_init_params_deterministic_and_small():
