@@ -11,7 +11,8 @@ online convex optimizers over the decision simplex:
   of the negated cumulative gradient (cross-device regime).
 
 ``optimizer_init`` is the one place a method is mapped to its optimizer; both
-optimizers advance by ``step(gradient) -> (state, decision)``.
+optimizers advance by ``step(gradient) -> (state, decision)``, which updates
+the state in place and returns that same object.
 """
 
 from __future__ import annotations
@@ -137,9 +138,9 @@ def eg_unified_step(prev: np.ndarray, response: np.ndarray, step: float) -> np.n
 # Sequence-quadratic method (cross-silo)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class OnsState:
-    """State of the quadratic-surrogate optimizer.
+    """State of the quadratic-surrogate optimizer; each step updates it in place.
 
     ``mat`` accumulates alpha*I + beta * sum of g g^T, with alpha = 4*k*l_inf;
     ``rhs`` accumulates beta * <g, p> * g; ``grad_sum`` the plain gradient
@@ -149,7 +150,7 @@ class OnsState:
     decision.  The projection is certified against ``mat`` itself, but the
     point it projects comes from ``inv``, so drift in ``inv`` moves the
     decision without any error; the rebuild every REFACTOR_EVERY rounds
-    bounds that drift.
+    bounds that drift.  A step replaces ``last_decision`` rather than write into it.
     """
 
     round: int
@@ -189,26 +190,22 @@ def aaggff_s_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.n
     The new decision is the generalized projection of the unconstrained
     surrogate minimizer onto the simplex, in the metric of the accumulated
     matrix.  ``gradient`` must be the decision-loss gradient evaluated at
-    ``state.last_decision``.
+    ``state.last_decision``.  Returns ``state``, updated in place, and the decision.
+
+    The gradient's shape and finiteness and the rank-1 denominator
+    ``1 + beta g^T inv g`` are checked before the first write, so a step that
+    raises on them leaves the state as it was.  Only the scheduled inverse
+    rebuild (of a matrix >= alpha*I) and the projection follow the writes: on
+    these metrics the projection's exact solve passes its KKT check at
+    iteration 0, and every caller ends the seed on any error.
     """
     g = np.asarray(gradient, dtype=float)
     if g.shape != state.grad_sum.shape:
         raise InvalidDimensionError("gradient length does not match state")
     if not np.all(np.isfinite(g)):
         raise DomainError("gradient entries must be finite")
-
-    grad_sum = state.grad_sum + g
-    # einsum forms an outer product several times faster than np.outer's
-    # broadcast multiply, with the same values; scaling and summing in place
-    # keeps both updates bit for bit equal to the textbook expressions.
-    mat = np.einsum("i,j->ij", g, g)
-    mat *= state.beta
-    mat += state.mat
-    rhs = state.rhs + state.beta * float(g @ state.last_decision) * g
-
-    if (state.round + 1) % REFACTOR_EVERY == 0:
-        inv = np.linalg.inv(mat)
-    else:
+    rebuild = (state.round + 1) % REFACTOR_EVERY == 0
+    if not rebuild:
         # Rank-1 inverse update for mat + beta g g^T.
         iv = state.inv @ g
         denom = 1.0 + state.beta * float(g @ iv)
@@ -216,32 +213,36 @@ def aaggff_s_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.n
             raise NumericalFailureError(
                 "positive definiteness lost in the rank-1 inverse update"
             )
-        inv = np.einsum("i,j->ij", iv, iv)
-        inv *= state.beta / denom
-        np.subtract(state.inv, inv, out=inv)
 
-    unconstrained = inv @ (rhs - grad_sum)
-    decision = project_generalized(unconstrained, mat, b_inv=inv)
-
-    new_state = OnsState(
-        round=state.round + 1,
-        grad_sum=grad_sum,
-        mat=mat,
-        rhs=rhs,
-        beta=state.beta,
-        last_decision=decision,
-        inv=inv,
+    # Writes only from here on: a step that fails a check leaves the state as it was.
+    state.round += 1
+    state.grad_sum += g
+    state.rhs += state.beta * float(g @ state.last_decision) * g
+    # einsum forms an outer product several times faster than np.outer's
+    # broadcast multiply, with the same values; scaling and summing in place
+    # keeps both updates bit for bit equal to the textbook expressions.
+    outer = np.einsum("i,j->ij", g, g)
+    outer *= state.beta
+    state.mat += outer
+    if rebuild:
+        state.inv = np.linalg.inv(state.mat)
+    else:
+        outer = np.einsum("i,j->ij", iv, iv)
+        outer *= state.beta / denom
+        state.inv -= outer
+    state.last_decision = project_generalized(
+        state.inv @ (state.rhs - state.grad_sum), state.mat, b_inv=state.inv
     )
-    return new_state, decision
+    return state, state.last_decision
 
 
 # ---------------------------------------------------------------------------
 # Closed-form method (cross-device)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class FtrlState:
-    """Cumulative-gradient state of the closed-form optimizer.
+    """Cumulative-gradient state of the closed-form optimizer, stepped in place.
 
     ``l_inf_dr`` is the sup-norm bound of the gradient stream actually being
     fed (the doubly-robust bound under partial participation, the exact bound
@@ -275,17 +276,16 @@ def ftrl_decision(cum_grad: np.ndarray, rounds_seen: int, l_inf_dr: float) -> np
 def aaggff_d_step(
     state: FtrlState, dr_gradient: np.ndarray
 ) -> tuple[FtrlState, np.ndarray]:
-    """Fold one (doubly-robust, linearized) gradient and emit the new decision."""
+    """Fold one (doubly-robust, linearized) gradient into ``state`` in place;
+    return the state and the new decision."""
     g = np.asarray(dr_gradient, dtype=float)
     if g.shape != state.cum_grad.shape:
         raise InvalidDimensionError("gradient length does not match state")
     if not np.all(np.isfinite(g)):
         raise DomainError("gradient entries must be finite")
-    cum_grad = state.cum_grad + g
-    rounds_seen = state.round + 1
-    decision = ftrl_decision(cum_grad, rounds_seen, state.l_inf_dr)
-    new_state = FtrlState(round=rounds_seen, cum_grad=cum_grad, l_inf_dr=state.l_inf_dr)
-    return new_state, decision
+    state.cum_grad += g
+    state.round += 1
+    return state, ftrl_decision(state.cum_grad, state.round, state.l_inf_dr)
 
 
 def optimizer_init(

@@ -229,15 +229,6 @@ def resolve_cdf(cfg: ExperimentConfig) -> CdfKind:
     return CdfKind(family, scale=cfg.cdf_scale, shape=shape)
 
 
-def resolve_method(cfg: ExperimentConfig) -> AggregatorMethod:
-    return AggregatorMethod(
-        kind=MethodKind(cfg.method),
-        q=cfg.q,
-        tilt=cfg.tilt,
-        loss_ceiling=cfg.loss_ceiling,
-    )
-
-
 def build_state(cfg: ExperimentConfig, seed: int) -> SimulationState:
     dataset = make_synthetic(cfg.num_samples, cfg.input_dim, cfg.num_classes, seed)
     spec = ModelSpec(
@@ -269,7 +260,9 @@ def build_state(cfg: ExperimentConfig, seed: int) -> SimulationState:
         pool=pool,
         sizes=sizes,
         params=init_params(spec, seed),
-        method=resolve_method(cfg),
+        method=AggregatorMethod(
+            kind=MethodKind(cfg.method), q=cfg.q, tilt=cfg.tilt, loss_ceiling=cfg.loss_ceiling
+        ),
         cdf=resolve_cdf(cfg),
         bounds=resolve_bounds(cfg),
         sampling_c=cfg.C,

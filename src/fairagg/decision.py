@@ -101,10 +101,15 @@ def linearized_grad(r_hat: np.ndarray, p: np.ndarray, r0_scalar: float) -> np.nd
     return -r_hat / growth + correction
 
 
-def lipschitz_constants(bounds: ResponseBounds, sampling_c: float) -> LipschitzConstants:
-    """Sup-norm bounds for the exact and doubly-robust gradient streams."""
-    if not (0.0 < sampling_c <= 1.0):
-        raise DomainError(f"sampling fraction must be in (0,1], got {sampling_c}")
+def lipschitz_constants(bounds: ResponseBounds, propensity: float) -> LipschitzConstants:
+    """Sup-norm bounds for the exact and doubly-robust gradient streams.
+
+    ``propensity`` is each client's chance of being sampled in a round,
+    ``sample_size(K, C) / K``, not the sampling fraction C itself: at K=7 and
+    C=0.5 it is 3/7.
+    """
+    if not (0.0 < propensity <= 1.0):
+        raise DomainError(f"propensity must be in (0,1], got {propensity}")
     l_inf = bounds.c2 / (1.0 + bounds.c1)
-    l_inf_dr = l_inf + 2.0 * (bounds.c2 - bounds.c1) / (sampling_c * (1.0 + bounds.c1))
+    l_inf_dr = l_inf + 2.0 * (bounds.c2 - bounds.c1) / (propensity * (1.0 + bounds.c1))
     return LipschitzConstants(l_inf=l_inf, l_inf_dr=l_inf_dr)

@@ -119,6 +119,7 @@ def sample_clients(k: int, c: float, rng: np.random.Generator) -> list[int]:
     return sorted(int(i) for i in chosen)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def client_update(
     params: np.ndarray,
     data: Dataset,
@@ -145,7 +146,7 @@ def client_update(
     parameters minus each client's final local ones ``(S, P)``, and a
     boolean mask ``(S,)``.  A client whose loss, gradient or parameters
     become non-finite stops training and is marked in ``diverged``; nothing
-    is raised, and its row of ``deltas`` must not be used.
+    is raised or warned, and its row of ``deltas`` must not be used.
     """
     if sizes.size == 0 or sizes.min() < 1 or sizes.sum() != len(data):
         raise InvalidDimensionError("sizes must be nonempty, positive and cover the data")
@@ -160,33 +161,30 @@ def client_update(
     local = np.tile(received, (sizes.size, 1))
     diverged = np.zeros(sizes.size, dtype=bool)
 
-    # Overflow here is an expected, handled outcome (the client gets
-    # dropped), so suppress the elementwise warnings instead of spewing them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps.max()):
-            movers = np.flatnonzero((steps > step) & ~diverged)
-            if movers.size == 0:
-                break
-            batches = [schedules[j][step] for j in movers]
-            counts = np.array([len(b) for b in batches])
-            current = local[movers]
-            loss, grad = loss_and_grad(
-                model_spec, current, data.subset(np.concatenate(batches)), counts
-            )
-            if prox_mu > 0.0:
-                grad = grad + prox_mu * (current - received)
-            if weight_decay > 0.0:
-                grad = grad + weight_decay * current
-            stepped = current - lr * grad
-            # Overflowed parameters can come with a still-finite loss, so
-            # the new iterate is checked too.
-            ok = (
-                np.isfinite(loss)
-                & np.all(np.isfinite(grad), axis=1)
-                & np.all(np.isfinite(stepped), axis=1)
-            )
-            local[movers[ok]] = stepped[ok]
-            diverged[movers[~ok]] = True
+    for step in range(steps.max()):
+        movers = np.flatnonzero((steps > step) & ~diverged)
+        if movers.size == 0:
+            break
+        batches = [schedules[j][step] for j in movers]
+        counts = np.array([len(b) for b in batches])
+        current = local[movers]
+        loss, grad = loss_and_grad(
+            model_spec, current, data.subset(np.concatenate(batches)), counts
+        )
+        if prox_mu > 0.0:
+            grad = grad + prox_mu * (current - received)
+        if weight_decay > 0.0:
+            grad = grad + weight_decay * current
+        stepped = current - lr * grad
+        # Overflowed parameters can come with a still-finite loss, so the new
+        # iterate is checked too.
+        ok = (
+            np.isfinite(loss)
+            & np.all(np.isfinite(grad), axis=1)
+            & np.all(np.isfinite(stepped), axis=1)
+        )
+        local[movers[ok]] = stepped[ok]
+        diverged[movers[~ok]] = True
 
     return received - local, diverged
 
@@ -327,15 +325,12 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     ends = np.cumsum(sizes)
     rows = np.repeat(state.starts[sampled] - (ends - sizes), sizes) + np.arange(ends[-1])
 
-    # Overflowing logits are an expected, handled outcome (the client gets
-    # dropped), so suppress the elementwise warnings instead of spewing them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if state.logits_params is not state.params:
-            state.logits = forward_logits(
-                state.model_spec, state.params, state.pool.features, state.logits
-            )
-            state.logits_params = state.params
-        feedback = group_loss(state.logits[rows], state.pool.labels[rows], sizes)
+    if state.logits_params is not state.params:
+        state.logits = forward_logits(
+            state.model_spec, state.params, state.pool.features, state.logits
+        )
+        state.logits_params = state.params
+    feedback = group_loss(state.logits[rows], state.pool.labels[rows], sizes)
     diverged = ~np.isfinite(feedback)
     trains = ~diverged
     if trains.any():

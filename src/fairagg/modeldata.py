@@ -87,6 +87,11 @@ CLUSTER_NOISE = 1.0
 CLASS_NOISE_GROWTH = 1.0
 
 
+def _split_sizes(n: int, parts: int) -> np.ndarray:
+    """Part sizes of ``np.array_split`` of n items into ``parts``."""
+    return n // parts + (np.arange(parts) < n % parts)
+
+
 def make_synthetic(n: int, input_dim: int, num_classes: int, seed: int) -> Dataset:
     """Gaussian class-conditional clusters with means on a scaled simplex.
 
@@ -99,9 +104,7 @@ def make_synthetic(n: int, input_dim: int, num_classes: int, seed: int) -> Datas
         raise DomainError(f"need at least one sample per class ({num_classes}), got {n}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
 
-    base, extra = divmod(n, num_classes)
-    counts = [base + (1 if c < extra else 0) for c in range(num_classes)]
-    labels = np.repeat(np.arange(num_classes), counts)
+    labels = np.repeat(np.arange(num_classes), _split_sizes(n, num_classes))
 
     means = np.zeros((num_classes, input_dim))
     for c in range(num_classes):
@@ -115,11 +118,6 @@ def make_synthetic(n: int, input_dim: int, num_classes: int, seed: int) -> Datas
     features = means[labels] + spread[labels, None] * rng.standard_normal((n, input_dim))
     order = rng.permutation(n)
     return Dataset(features[order], labels[order].astype(np.int64))
-
-
-def _split_sizes(n: int, parts: int) -> np.ndarray:
-    """Part sizes of ``np.array_split`` of n items into ``parts``."""
-    return n // parts + (np.arange(parts) < n % parts)
 
 
 def partition(dataset: Dataset, spec: PartitionSpec) -> tuple[Dataset, np.ndarray]:
@@ -312,11 +310,14 @@ def loss_and_grad(
     return (float(loss) if sizes is None else loss), np.concatenate(grads, axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def group_loss(logits: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Mean cross-entropy within each group of rows, from the rows' logits.
 
     The rows hold the groups one after another, ``sizes[g]`` rows for group
-    g (entries >= 1 that sum to the rows).  No gradient is formed.
+    g (entries >= 1 that sum to the rows).  No gradient is formed.  A group
+    with non-finite logits gets a non-finite loss, without a warning, for the
+    caller to check.
     """
     return np.add.reduceat(_row_losses(logits, labels), np.cumsum(sizes) - sizes) / sizes
 
@@ -339,6 +340,7 @@ def _blocks(spec: ModelSpec, n: int) -> list[slice]:
     return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward_logits(
     spec: ModelSpec, params: np.ndarray, features: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -346,7 +348,8 @@ def forward_logits(
 
     In a pass over two rows or more, a row's logits do not depend on the
     rows passed with it.  ``out``, if given, is an ``(n, outputs)`` float
-    array that receives them.
+    array that receives them.  Overflow gives non-finite logits, without a
+    warning, for the caller to check.
     """
     params = np.asarray(params, dtype=float)
     features = np.asarray(features, dtype=float)

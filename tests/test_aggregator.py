@@ -12,6 +12,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairagg.aggregator import (
     AggregatorMethod,
@@ -327,6 +329,83 @@ def test_ons_lost_positive_definiteness_is_a_numerical_failure():
     state = replace(ons_init(3, 0.5), inv=-np.eye(3))
     with pytest.raises(NumericalFailureError, match="positive definiteness"):
         aaggff_s_step(state, -np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "init, step", [(ons_init, aaggff_s_step), (ftrl_init, aaggff_d_step)], ids=["ons", "ftrl"]
+)
+def test_optimizer_steps_update_the_state_they_are_given(init, step):
+    # The state is stepped in place, but a decision once returned is never
+    # written again: callers keep them as the log of decisions played.
+    state = init(3, 0.5)
+    decisions, copies = [], []
+    for t, g in enumerate(([-0.1, -0.4, -0.2], [-0.5, -0.1, -0.1], [-0.2, -0.2, -0.6])):
+        stepped, decision = step(state, np.array(g))
+        assert stepped is state
+        assert state.round == t + 1
+        decisions.append(decision)
+        copies.append(decision.copy())
+    for decision, copy in zip(decisions, copies):
+        np.testing.assert_array_equal(decision, copy)
+
+
+ONS_FIELDS = ("round", "grad_sum", "mat", "rhs", "inv", "last_decision")
+
+
+@pytest.mark.parametrize(
+    "inv, gradient, error",
+    [
+        (-np.eye(3), -np.ones(3), NumericalFailureError),
+        (None, np.array([-0.1, np.inf, -0.2]), DomainError),
+        (None, np.zeros(2), InvalidDimensionError),
+    ],
+    ids=["lost-definiteness", "non-finite", "mismatched"],
+)
+def test_ons_step_that_raises_leaves_the_state_as_it_was(inv, gradient, error):
+    state = ons_init(3, 0.5)
+    for g in ([-0.3, -0.1, -0.2], [-0.1, -0.5, -0.2]):
+        aaggff_s_step(state, np.array(g))
+    if inv is not None:
+        state.inv = inv
+    before = {name: np.array(getattr(state, name)).tobytes() for name in ONS_FIELDS}
+    with pytest.raises(error):
+        aaggff_s_step(state, gradient)
+    after = {name: np.array(getattr(state, name)).tobytes() for name in ONS_FIELDS}
+    assert after == before
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    k=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+    pinned=st.sampled_from([0.0, 0.3]),
+)
+def test_ons_decisions_are_stationary_for_the_surrogate_rebuilt_from_history(k, seed, pinned):
+    # Criterion 5 on random streams: responses in [0, 1/K], a share of them
+    # pinned to either bound, over 70 rounds, which cross the inverse rebuild
+    # at round 64.  Every decision must meet the KKT conditions of the ONS
+    # surrogate (Hazan, Agarwal & Kale, 2007) rebuilt from the raw
+    # (gradient, decision played) history with textbook outer products.
+    rng = np.random.default_rng(seed)
+    c2 = 1.0 / k
+    responses = rng.uniform(0.0, c2, size=(70, k))
+    at_bound = rng.random(responses.shape) < pinned
+    responses[at_bound] = c2 * rng.integers(0, 2, size=int(at_bound.sum()))
+    l_inf = lipschitz_constants(ResponseBounds(0.0, c2), 1.0).l_inf
+    beta = 1.0 / (4.0 * l_inf)
+    mat = 4.0 * k * l_inf * np.eye(k)
+    rhs = np.zeros(k)
+    grad_sum = np.zeros(k)
+    state = ons_init(k, l_inf)
+    decision = state.last_decision
+    for r in responses:
+        g = decision_grad(decision, r)
+        mat += beta * np.outer(g, g)
+        rhs += beta * float(g @ decision) * g
+        grad_sum += g
+        state, decision = aaggff_s_step(state, g)
+        surrogate_grad = mat @ decision + grad_sum - rhs
+        assert kkt_residual(decision, surrogate_grad, active_tol=1e-12) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

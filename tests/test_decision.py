@@ -179,7 +179,7 @@ def test_lipschitz_constant_values():
 
 @pytest.mark.parametrize("c", [0.0, 1.5])
 def test_lipschitz_constants_reject_sampling_fraction_outside_unit_interval(c):
-    with pytest.raises(DomainError, match="sampling fraction"):
+    with pytest.raises(DomainError, match="propensity"):
         lipschitz_constants(ResponseBounds(0.0, 0.1), c)
 
 

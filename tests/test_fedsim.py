@@ -300,7 +300,6 @@ def trained_sizes(monkeypatch):
     return seen
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_feedback_is_flagged_without_training(monkeypatch):
     # Overflowing logits already on the received model: the client is
     # dropped on its feedback even with no local step to take.
