@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -33,8 +33,8 @@ from .aggregator import (
     eg_unified_step,
     optimizer_init,
 )
-from .decision import decision_grad
-from .errors import ConfigError, FairaggError
+from .decision import decision_grad, lipschitz_constants
+from .errors import ConfigError, DomainError, FairaggError
 from .fedsim import (
     RoundReport,
     ServerOptKind,
@@ -282,7 +282,6 @@ def _fmt(x: float) -> str:
 
 
 def _rounds_row(report: RoundReport) -> str:
-    s = report.summary
     return ",".join(
         [
             str(report.round),
@@ -290,11 +289,7 @@ def _rounds_row(report: RoundReport) -> str:
             _fmt(report.mean_feedback),
             _fmt(report.decision_loss),
             ";".join(_fmt(x) for x in report.decision),
-            _fmt(s.average),
-            _fmt(s.worst10),
-            _fmt(s.best10),
-            _fmt(s.gini_x100),
-            _fmt(s.acc_parity_gap),
+            *(_fmt(v) for v in astuple(report.summary)),
         ]
     )
 
@@ -315,8 +310,7 @@ def write_results(
         rows = [SUMMARY_HEADER]
         table = []
         for seed in sorted(summaries):
-            s = summaries[seed]
-            values = [s.average, s.worst10, s.best10, s.gini_x100, s.acc_parity_gap]
+            values = astuple(summaries[seed])
             table.append(values)
             rows.append(str(seed) + "," + ",".join(_fmt(v) for v in values))
         if table:
@@ -368,13 +362,13 @@ def synthetic_responses(k: int, rounds: int, c2: float, seed: int) -> np.ndarray
     return responses
 
 
-def sequence_regret(method: str, responses: np.ndarray, c2: float) -> float:
-    """Cumulative regret of an adaptive method on a full-information log."""
-    kind = {"ons": MethodKind.AAGGFF_S, "ftrl": MethodKind.AAGGFF_D}.get(method)
-    if kind is None:
-        raise ValueError(f"unknown method {method!r}")
+def sequence_regret(kind: MethodKind, responses: np.ndarray, c2: float) -> float:
+    """Cumulative regret of an adaptive method on a full-information log.
+    A closed-form baseline has no optimizer and raises DomainError."""
     rounds, k = responses.shape
     optimizer = optimizer_init(kind, k, ResponseBounds(0.0, c2), 1.0)
+    if optimizer is None:
+        raise DomainError(f"{kind} is not an adaptive method")
     decision = uniform_decision(k)
     decisions = []
     for t in range(rounds):
@@ -387,24 +381,24 @@ def sequence_regret(method: str, responses: np.ndarray, c2: float) -> float:
 def cmd_regret_bench(args: argparse.Namespace) -> int:
     k = args.clients
     c2 = 1.0 / k
-    l_inf = c2  # bounds [0, 1/k] give c2/(1+c1) = c2
+    l_inf = lipschitz_constants(ResponseBounds(0.0, c2), 1.0).l_inf
     lines = ["method,T,regret,bound"]
     ok = True
     for horizon in args.rounds:
         responses = synthetic_responses(k, horizon, c2, args.seed)
-        for method, label in (("ons", "AAggFFS"), ("ftrl", "AAggFFD")):
-            regret = sequence_regret(method, responses, c2)
-            if method == "ons":
+        for kind in (MethodKind.AAGGFF_S, MethodKind.AAGGFF_D):
+            regret = sequence_regret(kind, responses, c2)
+            if kind is MethodKind.AAGGFF_S:
                 bound = 2.0 * l_inf * k * (1.0 + math.log(1.0 + horizon / (16.0 * k)))
             else:
                 bound = 2.0 * l_inf * math.sqrt(horizon * math.log(k))
             passed = regret <= bound
             ok = ok and passed
             print(
-                f"{label}  T={horizon:<6d} regret={regret:.6f}  "
+                f"{kind.value}  T={horizon:<6d} regret={regret:.6f}  "
                 f"bound={bound:.6f}  {'PASS' if passed else 'FAIL'}"
             )
-            lines.append(f"{label},{horizon},{_fmt(regret)},{_fmt(bound)}")
+            lines.append(f"{kind.value},{horizon},{_fmt(regret)},{_fmt(bound)}")
     if args.output:
         out = Path(args.output)
         try:

@@ -259,10 +259,9 @@ class SimulationState:
     starts: np.ndarray = field(init=False)
     # Each client's chance of being sampled in a round.
     propensity: float = field(init=False)
-    # Every pool row's logits, and the parameters array they were computed
-    # for; the evaluation that ends a round keeps them for the next round's
-    # feedback.  A caller changes the parameters by assigning a new array,
-    # never by writing into this one.
+    # Every pool row's logits, and a copy of the parameters they were
+    # computed for; the evaluation that ends a round keeps them for the next
+    # round's feedback.
     logits: np.ndarray | None = field(init=False, default=None)
     logits_params: np.ndarray | None = field(init=False, default=None)
 
@@ -310,9 +309,10 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     Feedback is each sampled client's mean cross-entropy on the received
     model, measured strictly before any training step, as one grouped loss
     over the logits the last round's evaluation kept for these parameters.
-    If ``state.params`` is not the array those logits were computed for (in
-    round 0, or after a caller replaced it), the pool is evaluated first.  A
-    client with non-finite feedback is dropped without training.
+    If ``state.params`` differs in value from the parameters those logits
+    were computed for (in round 0, or after a caller replaced or wrote into
+    them), the pool is evaluated first.  A client with non-finite feedback is
+    dropped without training.
     """
     k = state.k
     sampling_rng = np.random.default_rng(
@@ -325,11 +325,11 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     ends = np.cumsum(sizes)
     rows = np.repeat(state.starts[sampled] - (ends - sizes), sizes) + np.arange(ends[-1])
 
-    if state.logits_params is not state.params:
+    if not np.array_equal(state.logits_params, state.params):
         state.logits = forward_logits(
             state.model_spec, state.params, state.pool.features, state.logits
         )
-        state.logits_params = state.params
+        state.logits_params = state.params.copy()
     feedback = group_loss(state.logits[rows], state.pool.labels[rows], sizes)
     diverged = ~np.isfinite(feedback)
     trains = ~diverged
@@ -398,7 +398,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     client_accuracy = accuracy(
         state.model_spec, state.params, state.pool, state.sizes, out=state.logits
     )
-    state.logits_params = state.params
+    state.logits_params = state.params.copy()
     return RoundReport(
         round=t,
         sampled_ids=survivors.tolist(),

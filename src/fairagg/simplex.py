@@ -21,7 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDimensionError, NonConvergenceError, NumericalFailureError
+from .errors import (
+    DomainError,
+    InvalidDimensionError,
+    NonConvergenceError,
+    NumericalFailureError,
+)
 
 # Feasibility tolerance baked into the Decision contract.
 SUM_TOL = 1e-9
@@ -107,7 +112,7 @@ def minimize_over_simplex(
     carries the best iterate.
     """
     if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise DomainError(f"tol must be positive, got {tol}")
     p = uniform_decision(k) if start is None else np.asarray(start, dtype=float).copy()
 
     f, g = fun(p)

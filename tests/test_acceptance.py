@@ -249,9 +249,9 @@ def test_criterion_06_regret_bounds():
     pairs = []
     for horizon in (100, 500, 2000):
         responses = synthetic_responses(k, horizon, c2, seed=0)
-        ons_regret = sequence_regret("ons", responses, c2)
+        ons_regret = sequence_regret(MethodKind.AAGGFF_S, responses, c2)
         ons_bound = 2.0 * c2 * k * (1.0 + math.log(1.0 + horizon / (16.0 * k)))
-        ftrl_regret = sequence_regret("ftrl", responses, c2)
+        ftrl_regret = sequence_regret(MethodKind.AAGGFF_D, responses, c2)
         ftrl_bound = 2.0 * c2 * math.sqrt(horizon * math.log(k))
         assert ons_regret <= ons_bound, horizon
         assert ftrl_regret <= ftrl_bound, horizon

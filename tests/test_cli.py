@@ -8,6 +8,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 import pytest
 
+from fairagg.aggregator import MethodKind
 from fairagg.cli import (
     ROUNDS_HEADER,
     SUMMARY_HEADER,
@@ -298,12 +299,19 @@ def test_synthetic_responses_are_bounded_and_deterministic():
 
 def test_sequence_regret_is_positive_and_sublinear():
     responses = synthetic_responses(4, 400, 0.25, seed=2)
-    short = sequence_regret("ftrl", responses[:100], 0.25)
-    long = sequence_regret("ftrl", responses, 0.25)
+    short = sequence_regret(MethodKind.AAGGFF_D, responses[:100], 0.25)
+    long = sequence_regret(MethodKind.AAGGFF_D, responses, 0.25)
     assert short >= 0.0
     assert long / 400.0 < short / 100.0
     with pytest.raises(ValueError):
         sequence_regret("sgd", responses, 0.25)
+
+
+def test_sequence_regret_rejects_a_baseline_kind():
+    # A closed-form baseline has no optimizer to step.
+    responses = synthetic_responses(4, 10, 0.25, seed=2)
+    with pytest.raises(DomainError):
+        sequence_regret(MethodKind.STATIC, responses, 0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -592,6 +592,23 @@ def test_replaced_parameters_are_evaluated_before_feedback():
     np.testing.assert_array_equal(state.params, fresh.params)
 
 
+def test_parameters_written_in_place_are_evaluated_before_feedback():
+    # Same as above, but the new values go into the existing array: the
+    # kept logits follow the parameters' values, not the array's identity.
+    replaced = 0.5 * np.random.default_rng(3).standard_normal(MLP.param_length)
+    state = make_state(MethodKind.STATIC, shards_for(5, classes=3), model_spec=MLP)
+    run_round(state, 0)
+    run_round(state, 1)
+    state.params[:] = replaced
+    fresh = make_state(
+        MethodKind.STATIC, shards_for(5, classes=3), model_spec=MLP, params=replaced.copy()
+    )
+    fresh.decision = state.decision.copy()
+    report, expected = run_round(state, 2), run_round(fresh, 2)
+    assert report.mean_feedback == expected.mean_feedback
+    np.testing.assert_array_equal(state.params, fresh.params)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
 def test_client_entropy_rows_give_the_list_form_streams(seed):
     clients = np.array([0, 1, 7, 999, 2**31])

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairagg import simplex
-from fairagg.errors import InvalidDimensionError, NonConvergenceError, NumericalFailureError
+from fairagg.errors import (
+    FairaggError,
+    InvalidDimensionError,
+    NonConvergenceError,
+    NumericalFailureError,
+)
 from fairagg.simplex import (
     is_decision,
     kkt_residual,
@@ -106,6 +111,11 @@ def test_minimize_never_beats_tolerance_contract_vs_uniform():
         tol = 1e-9
         p = minimize_over_simplex(lambda p: (objective(p), gradient(p)), k, tol=tol)
         assert objective(p) <= objective(uniform_decision(k)) + tol
+
+
+def test_minimize_rejects_a_nonpositive_tolerance_as_a_library_error():
+    with pytest.raises(FairaggError):
+        minimize_over_simplex(lambda p: (0.5 * float(p @ p), p), 3, tol=0.0)
 
 
 def test_minimize_raises_on_nonfinite_start():
