@@ -30,10 +30,6 @@ from .simplex import project_generalized, uniform_decision
 
 logger = logging.getLogger(__name__)
 
-# Rebuild the maintained inverse from scratch this often to stop rank-1
-# update drift from accumulating.
-REFACTOR_EVERY = 64
-
 
 class MethodKind(enum.Enum):
     STATIC = "Static"
@@ -144,13 +140,12 @@ class OnsState:
 
     ``mat`` accumulates alpha*I + beta * sum of g g^T, with alpha = 4*k*l_inf;
     ``rhs`` accumulates beta * <g, p> * g; ``grad_sum`` the plain gradient
-    sum.  ``inv`` mirrors the inverse of ``mat`` via rank-1 updates, rebuilt
-    every REFACTOR_EVERY rounds.  It gives the unconstrained surrogate minimizer
-    ``inv @ (rhs - grad_sum)`` and drives the exact metric projection of each
-    decision.  The projection is certified against ``mat`` itself, but the
-    point it projects comes from ``inv``, so drift in ``inv`` moves the
-    decision without any error; the rebuild every REFACTOR_EVERY rounds
-    bounds that drift.  A step replaces ``last_decision`` rather than write into it.
+    sum.  ``inv`` mirrors the inverse of ``mat`` via rank-1 updates.  It gives
+    the unconstrained surrogate minimizer ``inv @ (rhs - grad_sum)`` and drives
+    the exact metric projection of each decision.  The projection is
+    certified against ``mat`` itself, so drift in ``inv`` can move a decision
+    only within the certifier's tolerance.  A step replaces ``last_decision``
+    rather than write into it.
     """
 
     round: int
@@ -194,9 +189,8 @@ def aaggff_s_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.n
 
     The gradient's shape and finiteness and the rank-1 denominator
     ``1 + beta g^T inv g`` are checked before the first write, so a step that
-    raises on them leaves the state as it was.  Only the scheduled inverse
-    rebuild (of a matrix >= alpha*I) and the projection follow the writes: on
-    these metrics the projection's exact solve passes its KKT check at
+    raises on them leaves the state as it was.  Only the projection follows
+    the writes: on these metrics its exact solve passes its KKT check at
     iteration 0, and every caller ends the seed on any error.
     """
     g = np.asarray(gradient, dtype=float)
@@ -204,15 +198,13 @@ def aaggff_s_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.n
         raise InvalidDimensionError("gradient length does not match state")
     if not np.all(np.isfinite(g)):
         raise DomainError("gradient entries must be finite")
-    rebuild = (state.round + 1) % REFACTOR_EVERY == 0
-    if not rebuild:
-        # Rank-1 inverse update for mat + beta g g^T.
-        iv = state.inv @ g
-        denom = 1.0 + state.beta * float(g @ iv)
-        if denom <= 0.0:
-            raise NumericalFailureError(
-                "positive definiteness lost in the rank-1 inverse update"
-            )
+    # Rank-1 inverse update for mat + beta g g^T.
+    iv = state.inv @ g
+    denom = 1.0 + state.beta * float(g @ iv)
+    if denom <= 0.0:
+        raise NumericalFailureError(
+            "positive definiteness lost in the rank-1 inverse update"
+        )
 
     # Writes only from here on: a step that fails a check leaves the state as it was.
     state.round += 1
@@ -224,12 +216,9 @@ def aaggff_s_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.n
     outer = np.einsum("i,j->ij", g, g)
     outer *= state.beta
     state.mat += outer
-    if rebuild:
-        state.inv = np.linalg.inv(state.mat)
-    else:
-        outer = np.einsum("i,j->ij", iv, iv)
-        outer *= state.beta / denom
-        state.inv -= outer
+    outer = np.einsum("i,j->ij", iv, iv)
+    outer *= state.beta / denom
+    state.inv -= outer
     state.last_decision = project_generalized(
         state.inv @ (state.rhs - state.grad_sum), state.mat, b_inv=state.inv
     )

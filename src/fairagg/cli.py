@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
@@ -42,7 +41,7 @@ from .fedsim import (
     SimulationState,
     run_round,
 )
-from .metrics import PerformanceSummary, cumulative_regret
+from .metrics import PerformanceSummary, cumulative_regret, regret_envelope
 from .modeldata import (
     ModelKind,
     ModelSpec,
@@ -388,10 +387,7 @@ def cmd_regret_bench(args: argparse.Namespace) -> int:
         responses = synthetic_responses(k, horizon, c2, args.seed)
         for kind in (MethodKind.AAGGFF_S, MethodKind.AAGGFF_D):
             regret = sequence_regret(kind, responses, c2)
-            if kind is MethodKind.AAGGFF_S:
-                bound = 2.0 * l_inf * k * (1.0 + math.log(1.0 + horizon / (16.0 * k)))
-            else:
-                bound = 2.0 * l_inf * math.sqrt(horizon * math.log(k))
+            bound = regret_envelope(kind, k, horizon, l_inf)
             passed = regret <= bound
             ok = ok and passed
             print(

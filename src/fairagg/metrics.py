@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregator import MethodKind
 from .decision import decision_loss
 from .errors import DomainError, InvalidDimensionError
 from .simplex import minimize_over_simplex
@@ -85,3 +86,14 @@ def cumulative_regret(decisions, responses) -> tuple[float, np.ndarray]:
     incurred = float(np.sum([decision_loss(p, r) for p, r in zip(decisions, responses)]))
     regret = incurred - fun(hindsight)[0]
     return float(regret), hindsight
+
+
+def regret_envelope(kind: MethodKind, k: int, horizon: int, l_inf: float) -> float:
+    """Regret bound of an adaptive method after ``horizon`` rounds on ``k``
+    clients, for gradients bounded by ``l_inf`` in sup norm: the ONS bound
+    for AAggFFS, the entropic FTRL bound for AAggFFD."""
+    if kind is MethodKind.AAGGFF_S:
+        return 2.0 * l_inf * k * (1.0 + math.log(1.0 + horizon / (16.0 * k)))
+    if kind is MethodKind.AAGGFF_D:
+        return 2.0 * l_inf * math.sqrt(horizon * math.log(k))
+    raise DomainError(f"{kind.value} has no regret envelope")

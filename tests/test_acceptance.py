@@ -38,6 +38,7 @@ from fairagg.decision import (
     lipschitz_constants,
 )
 from fairagg.fedsim import run_round
+from fairagg.metrics import regret_envelope
 from fairagg.response import (
     CdfFamily,
     CdfKind,
@@ -246,13 +247,14 @@ def test_criterion_06_regret_bounds():
     start = time.perf_counter()
     k = 8
     c2 = 1.0 / k
+    l_inf = lipschitz_constants(ResponseBounds(0.0, c2), 1.0).l_inf
     pairs = []
     for horizon in (100, 500, 2000):
         responses = synthetic_responses(k, horizon, c2, seed=0)
         ons_regret = sequence_regret(MethodKind.AAGGFF_S, responses, c2)
-        ons_bound = 2.0 * c2 * k * (1.0 + math.log(1.0 + horizon / (16.0 * k)))
+        ons_bound = regret_envelope(MethodKind.AAGGFF_S, k, horizon, l_inf)
         ftrl_regret = sequence_regret(MethodKind.AAGGFF_D, responses, c2)
-        ftrl_bound = 2.0 * c2 * math.sqrt(horizon * math.log(k))
+        ftrl_bound = regret_envelope(MethodKind.AAGGFF_D, k, horizon, l_inf)
         assert ons_regret <= ons_bound, horizon
         assert ftrl_regret <= ftrl_bound, horizon
         pairs.append(f"T={horizon}: {ons_regret:.3f}<={ons_bound:.3f}, "

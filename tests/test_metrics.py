@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairagg.aggregator import MethodKind
 from fairagg.errors import DomainError, InvalidDimensionError
-from fairagg.metrics import cumulative_regret, performance_summary
+from fairagg.metrics import cumulative_regret, performance_summary, regret_envelope
 
 
 def test_constant_values_are_perfectly_fair():
@@ -171,3 +172,15 @@ def test_regret_rejects_empty_and_mismatched_logs():
         cumulative_regret([], [])
     with pytest.raises(InvalidDimensionError):
         cumulative_regret([np.array([1.0, 0.0])], [np.zeros(2), np.zeros(2)])
+
+
+def test_regret_envelope_hand_values():
+    # K=8, T=128, l_inf=1/8: horizon / (16 K) = 1 for the ONS bound.
+    assert regret_envelope(MethodKind.AAGGFF_S, 8, 128, 0.125) == pytest.approx(
+        2.0 * (1.0 + math.log(2.0))
+    )
+    assert regret_envelope(MethodKind.AAGGFF_D, 8, 128, 0.125) == pytest.approx(
+        0.25 * math.sqrt(128.0 * math.log(8.0))
+    )
+    with pytest.raises(DomainError):
+        regret_envelope(MethodKind.STATIC, 8, 128, 0.125)
