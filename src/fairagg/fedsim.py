@@ -14,7 +14,11 @@ t+1 broadcasts, so that round's feedback is the loss over the sampled rows'
 kept logits, with no forward pass of its own.
 
 The sampled clients train together: each local SGD step is one stacked
-gradient pass over every still-training client's minibatch.
+gradient pass over every still-training client's minibatch.  A client with
+more rows than the batch size shuffles them with its own generator every
+epoch.  A client whose rows fit one minibatch takes one full-batch step per
+epoch, which no order of its rows changes, so it walks them in pool order and
+gets no generator.
 ``client_update`` returns arrays over the clients it trains: deltas
 ``(S, P)`` and a diverged mask ``(S,)``.  A client with non-finite feedback
 is not trained, and a diverged client's delta holds no usable values; the
@@ -119,6 +123,12 @@ def sample_clients(k: int, c: float, rng: np.random.Generator) -> list[int]:
     return sorted(int(i) for i in chosen)
 
 
+def _shuffled(sizes: np.ndarray, epochs: int, batch_size: int) -> np.ndarray:
+    """Which clients shuffle their rows in local training: those with more
+    rows than one minibatch, when there is an epoch to train."""
+    return (sizes > batch_size) & (epochs > 0)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def client_update(
     params: np.ndarray,
@@ -131,16 +141,19 @@ def client_update(
     lr: float,
     prox_mu: float,
     weight_decay: float,
-    rngs: list[np.random.Generator],
+    rngs: list[np.random.Generator | None],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run local SGD from the received model for every client at once.
 
     ``data`` holds the clients' rows one client after another, ``sizes[i]``
-    of them for client i.  Each client shuffles its own rows with its own
-    generator every epoch and walks them in minibatches; SGD step s moves
-    every client that still has an s-th minibatch, with one
-    ``loss_and_grad`` call over those minibatches stacked together.  With
-    prox_mu > 0 every step pulls back toward the received parameters.
+    of them for client i, and ``rngs[i]`` is client i's generator.  A client
+    with more than ``batch_size`` rows shuffles them with its generator every
+    epoch and walks them in minibatches.  A client whose rows fit one
+    minibatch walks them in pool order every epoch and never draws from its
+    generator, which may be None.  SGD step s moves every client that still
+    has an s-th minibatch, with one ``loss_and_grad`` call over those
+    minibatches stacked together.  With prox_mu > 0 every step pulls back
+    toward the received parameters.
 
     Returns ``(deltas, diverged)`` in the order of ``sizes``: the received
     parameters minus each client's final local ones ``(S, P)``, and a
@@ -150,12 +163,20 @@ def client_update(
     """
     if sizes.size == 0 or sizes.min() < 1 or sizes.sum() != len(data):
         raise InvalidDimensionError("sizes must be nonempty, positive and cover the data")
+    if len(rngs) != sizes.size:
+        raise InvalidDimensionError(f"got {len(rngs)} generators for {sizes.size} clients")
+    shuffled = _shuffled(sizes, epochs, batch_size)
+    if any(rngs[i] is None for i in np.flatnonzero(shuffled)):
+        raise InvalidDimensionError(
+            f"a client with more than {batch_size} rows has no generator to shuffle them"
+        )
     received = np.asarray(params, dtype=float)
     offsets = np.cumsum(sizes) - sizes
     # Row indices into ``data`` of every client's minibatches, in step order.
     schedules = [
         [batch + offset for _ in range(epochs) for batch in epoch_batches(size, batch_size, rng)]
-        for size, offset, rng in zip(sizes, offsets, rngs)
+        if shuffles else [np.arange(offset, offset + size)] * epochs
+        for size, offset, rng, shuffles in zip(sizes, offsets, rngs, shuffled)
     ]
     steps = np.array([len(batches) for batches in schedules])
     local = np.tile(received, (sizes.size, 1))
@@ -313,6 +334,11 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     were computed for (in round 0, or after a caller replaced or wrote into
     them), the pool is evaluated first.  A client with non-finite feedback is
     dropped without training.
+
+    A trained client with more rows than the batch size shuffles them with
+    its generator from ``SeedSequence([seed, 4, t, client])``.  A client
+    whose rows fit one minibatch gets None in its place, and at zero epochs
+    no client gets a generator.
     """
     k = state.k
     sampling_rng = np.random.default_rng(
@@ -334,10 +360,13 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     diverged = ~np.isfinite(feedback)
     trains = ~diverged
     if trains.any():
+        trained, trained_sizes = sampled[trains], sizes[trains]
+        shuffled = _shuffled(trained_sizes, state.epochs, state.batch_size)
+        entropy = iter(_client_entropy(state.master_seed, t, trained[shuffled]))
         deltas, failed = client_update(
             state.params,
             state.pool.subset(rows[np.repeat(trains, sizes)]),
-            sizes[trains],
+            trained_sizes,
             state.model_spec,
             epochs=state.epochs,
             batch_size=state.batch_size,
@@ -345,8 +374,8 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
             prox_mu=state.prox_mu,
             weight_decay=state.weight_decay,
             rngs=[
-                np.random.default_rng(np.random.SeedSequence(entropy))
-                for entropy in _client_entropy(state.master_seed, t, sampled[trains])
+                np.random.default_rng(np.random.SeedSequence(next(entropy))) if shuffles else None
+                for shuffles in shuffled
             ],
         )
         diverged[trains] = failed

@@ -245,7 +245,9 @@ def _row_losses(logits: np.ndarray, y: np.ndarray, grad: bool = False):
     if logits.shape[-1] == 1:
         prob = _sigmoid(logits[..., 0])
         clipped = np.clip(prob, 1e-12, 1.0 - 1e-12)
-        losses = -(y * np.log(clipped) + (1 - y) * np.log(1.0 - clipped))
+        # One log of the label's probability; for labels in {0, 1} this is
+        # bit for bit -(y log p + (1 - y) log(1 - p)).
+        losses = -np.log(np.where(y == 1, clipped, 1.0 - clipped))
         return (losses, (prob - y)[..., None]) if grad else losses
     classes = logits.shape[-1]
     logp = _log_softmax(logits)
@@ -361,8 +363,10 @@ def forward_logits(
 
 
 def _predicted(logits: np.ndarray) -> np.ndarray:
+    """Each row's predicted class: for one binary logit, class 1 where it is
+    positive (so 0 at NaN), else the index of the largest logit."""
     if logits.shape[1] == 1:
-        return (_sigmoid(logits[:, 0]) > 0.5).astype(np.int64)
+        return (logits[:, 0] > 0.0).astype(np.int64)
     return np.argmax(logits, axis=1).astype(np.int64)
 
 

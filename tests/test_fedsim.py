@@ -343,6 +343,90 @@ def test_sizes_must_cover_the_rows():
                           rngs=[], **kwargs)
 
 
+def test_every_client_needs_a_generator_entry():
+    data = make_synthetic(30, 2, 2, seed=1)
+    kwargs = dict(epochs=1, batch_size=10, lr=0.1, prox_mu=0.0, weight_decay=0.0)
+    with pytest.raises(InvalidDimensionError, match="2 generators for 3 clients"):
+        client_update(np.zeros(3), data, np.array([10, 10, 10]), BINARY,
+                      rngs=[np.random.default_rng(0), np.random.default_rng(1)], **kwargs)
+
+
+def test_a_client_that_shuffles_needs_a_generator():
+    data = make_synthetic(30, 2, 2, seed=1)
+    sizes = np.array([5, 15, 10])
+    kwargs = dict(batch_size=10, lr=0.1, prox_mu=0.0, weight_decay=0.0)
+    # Client 1 has more rows than one minibatch.
+    with pytest.raises(InvalidDimensionError, match="no generator"):
+        client_update(np.zeros(3), data, sizes, BINARY, epochs=1,
+                      rngs=[None, None, None], **kwargs)
+    # With no epoch to train, no client shuffles.
+    deltas, diverged = client_update(np.zeros(3), data, sizes, BINARY, epochs=0,
+                                     rngs=[None, None, None], **kwargs)
+    np.testing.assert_array_equal(deltas, np.zeros((3, 3)))
+    assert not diverged.any()
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_a_one_minibatch_client_draws_nothing_from_its_generator(epochs):
+    data = make_synthetic(12, 2, 2, seed=6)
+    kwargs = dict(epochs=epochs, lr=0.3, prox_mu=0.1, weight_decay=0.01)
+    for batch_size in (12, 50):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        [delta], _ = client_update(
+            np.zeros(3), data, np.array([12]), BINARY, batch_size=batch_size, rngs=[rng], **kwargs
+        )
+        assert rng.bit_generator.state == before
+        [unseeded], _ = client_update(
+            np.zeros(3), data, np.array([12]), BINARY, batch_size=batch_size, rngs=[None], **kwargs
+        )
+        assert np.any(delta != 0.0)
+        assert delta.tobytes() == unseeded.tobytes()
+
+
+def given_generators(monkeypatch):
+    """Record, for every client_update call run_round makes, its ``sizes``
+    and the state of each generator it was given (None for no generator)."""
+    seen = []
+    real = fedsim.client_update
+
+    def recording(params, data, sizes, *args, rngs, **kwargs):
+        states = [None if rng is None else rng.bit_generator.state for rng in rngs]
+        seen.append((sizes.tolist(), states))
+        return real(params, data, sizes, *args, rngs=rngs, **kwargs)
+
+    monkeypatch.setattr(fedsim, "client_update", recording)
+    return seen
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_round_gives_generators_only_to_clients_that_shuffle(monkeypatch, epochs):
+    # Half the clients fit one minibatch of 8 rows, one of them exactly.
+    sizes = np.array([3, 12, 8, 20, 1, 9, 5, 15])
+    pool = make_synthetic(int(sizes.sum()), 2, 2, seed=7)
+    batch_size = 8
+    state = make_state(
+        MethodKind.AAGGFF_D, (pool, sizes), seed=4, sampling_c=0.5, epochs=epochs,
+        batch_size=batch_size, bounds=ResponseBounds.cross_silo(8),
+    )
+    seen = given_generators(monkeypatch)
+    reports = [run_round(state, t) for t in range(3)]
+    assert len(seen) == 3
+    both_kinds = False
+    for t, (report, (trained, states)) in enumerate(zip(reports, seen)):
+        assert trained == sizes[report.sampled_ids].tolist()
+        shuffles = [size > batch_size and epochs > 0 for size in trained]
+        both_kinds |= len(set(shuffles)) == 2
+        for client, shuffled, given in zip(report.sampled_ids, shuffles, states):
+            if not shuffled:
+                assert given is None
+            else:
+                stream = np.random.SeedSequence([4, fedsim._STREAM_CLIENT, t, client])
+                assert given == np.random.default_rng(stream).bit_generator.state
+    # Both kinds of client are sampled whenever there is an epoch to train.
+    assert both_kinds == (epochs > 0)
+
+
 def per_client_update(params, data, spec, *, epochs, batch_size, lr, prox_mu, weight_decay, rng):
     """Reference: one client's feedback and SGD delta, trained alone, one
     minibatch per call; None if it diverged."""

@@ -363,6 +363,49 @@ def test_predictions_follow_the_decision_boundary():
     assert accuracy(BINARY, np.array([1.0, 0.0, 0.0]), data) == 0.5
 
 
+# The sigmoid of a logit in (0, 1.56e-16] rounds to exactly 0.5, so a rule
+# that compares the probability with 0.5 would predict class 0 there.
+@pytest.mark.parametrize(
+    "logit, expected",
+    [(1e-300, 1), (5e-324, 1), (1e-17, 1), (1.1e-16, 1),
+     (0.0, 0), (-0.0, 0), (np.nan, 0), (-np.inf, 0), (np.inf, 1)],
+)
+def test_binary_prediction_is_the_sign_of_the_logit(logit, expected):
+    assert modeldata._predicted(np.array([[logit]])).tolist() == [expected]
+    # Zero features and zero weights leave the bias as every row's logit.
+    data = Dataset(np.zeros((3, 2)), np.full(3, expected, dtype=np.int64))
+    params = np.array([0.0, 0.0, logit])
+    np.testing.assert_array_equal(predict(BINARY, params, data.features), data.labels)
+    assert accuracy(BINARY, params, data) == 1.0
+    np.testing.assert_array_equal(accuracy(BINARY, params, data, np.array([1, 2])), [1.0, 1.0])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.floats(-1e3, 1e3),
+                st.floats(allow_nan=False),
+                st.sampled_from([27.6, 27.7, -27.6, -27.7]),
+            ),
+            st.integers(0, 1),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_binary_loss_takes_one_log_of_the_label_probability(rows):
+    # Beyond |logit| of about 27.6 the probability clip binds.
+    logits = np.array([[z] for z, _ in rows])
+    labels = np.array([y for _, y in rows], dtype=np.int64)
+    p = np.clip(modeldata._sigmoid(logits[:, 0]), 1e-12, 1.0 - 1e-12)
+    expected = -(labels * np.log(p) + (1 - labels) * np.log(1.0 - p))
+    assert modeldata._row_losses(logits, labels).tobytes() == expected.tobytes()
+    losses, _ = modeldata._row_losses(logits, labels, grad=True)
+    assert losses.tobytes() == expected.tobytes()
+
+
 # Shard sizes mix single rows, small shards and large ones, so splits are
 # often very unequal.
 shard_sizes = st.lists(
