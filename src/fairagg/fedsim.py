@@ -9,9 +9,11 @@ depend on client execution order; deltas are always reduced in ascending
 client id.
 
 The model passes over the pool once per round.  The evaluation that ends
-round t keeps every pool row's logits; they belong to the parameters round
-t+1 broadcasts, so that round's feedback is the loss over the sampled rows'
-kept logits, with no forward pass of its own.
+round t is one ``forward_logits`` call over every pool row, whose logits
+``run_round`` keeps on the state: that round's accuracy scores them, and
+since they belong to the parameters round t+1 broadcasts, that round's
+feedback is the loss over the sampled rows' kept logits, with no forward
+pass of its own.
 
 The sampled clients train together: each local SGD step is one stacked
 gradient pass over every still-training client's minibatch.  A client with
@@ -27,10 +29,9 @@ dropped.
 
 Client data is one pooled dataset, each client's rows together in ascending
 client id, plus each client's row count; a round gathers the sampled clients'
-rows from it, and one prediction pass over it scores every client.  Row
-counts are the only grouping the model layer is given: every grouped loss,
-gradient and accuracy call takes its rows one group after another with the
-groups' sizes.
+rows from it.  Row counts are the only grouping the model layer is given:
+every loss, gradient and accuracy call takes its rows one group after
+another with the groups' sizes.
 
 An adaptive method takes one ``step`` per round of the optimizer that
 ``aggregator.optimizer_init`` gave it; a closed-form baseline has none and
@@ -281,14 +282,17 @@ class SimulationState:
     # Each client's chance of being sampled in a round.
     propensity: float = field(init=False)
     # Every pool row's logits, and a copy of the parameters they were
-    # computed for; the evaluation that ends a round keeps them for the next
-    # round's feedback.
+    # computed for; the evaluation that ends a round keeps them for that
+    # round's accuracy and the next round's feedback.
     logits: np.ndarray | None = field(init=False, default=None)
     logits_params: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.sizes.size == 0 or self.sizes.min() < 1 or self.sizes.sum() != len(self.pool):
             raise InvalidDimensionError("sizes must be nonempty, positive and cover the pool")
+        classes = self.model_spec.num_classes
+        if self.pool.labels.min() < 0 or self.pool.labels.max() >= classes:
+            raise DomainError(f"pool labels must lie in [0, {classes})")
         k = self.sizes.size
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.decision = uniform_decision(k)
@@ -352,9 +356,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     rows = np.repeat(state.starts[sampled] - (ends - sizes), sizes) + np.arange(ends[-1])
 
     if not np.array_equal(state.logits_params, state.params):
-        state.logits = forward_logits(
-            state.model_spec, state.params, state.pool.features, state.logits
-        )
+        state.logits = forward_logits(state.model_spec, state.params, state.pool.features)
         state.logits_params = state.params.copy()
     feedback = group_loss(state.logits[rows], state.pool.labels[rows], sizes)
     diverged = ~np.isfinite(feedback)
@@ -422,12 +424,11 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     state.params = server_apply(state.params, mixed_delta, state.server_opt)
     state.decision = new_decision
 
-    # The next round's feedback reads these logits, computed for the
-    # parameters it receives.
-    client_accuracy = accuracy(
-        state.model_spec, state.params, state.pool, state.sizes, out=state.logits
-    )
+    # This round's accuracy and the next round's feedback read these logits,
+    # computed for the parameters the next round receives.
+    state.logits = forward_logits(state.model_spec, state.params, state.pool.features)
     state.logits_params = state.params.copy()
+    client_accuracy = accuracy(state.logits, state.pool.labels, state.sizes)
     return RoundReport(
         round=t,
         sampled_ids=survivors.tolist(),

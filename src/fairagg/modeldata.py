@@ -133,7 +133,9 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> tuple[Dataset, np.ndarra
         raise DomainError(f"cannot split {n} samples across {spec.k} clients")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
     labels = dataset.labels
-    classes = np.unique(labels)
+    # The distinct labels in ascending order; numpy 2's np.unique imports numpy.ma.
+    ordered = np.sort(labels)
+    classes = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
     clients = np.arange(spec.k)
     owner = np.empty(n, dtype=np.int64)
 
@@ -241,7 +243,12 @@ def _forward(
 
 def _row_losses(logits: np.ndarray, y: np.ndarray, grad: bool = False):
     """Cross-entropy of each row; with ``grad``, also its gradient with
-    respect to the logits."""
+    respect to the logits.  A label outside the model's classes (two for one
+    binary logit) is a DomainError."""
+    classes = max(2, logits.shape[-1])
+    low, high = y.min(), y.max()
+    if low < 0 or high >= classes:
+        raise DomainError(f"label {low if low < 0 else high} is outside the {classes} classes")
     if logits.shape[-1] == 1:
         prob = _sigmoid(logits[..., 0])
         clipped = np.clip(prob, 1e-12, 1.0 - 1e-12)
@@ -249,7 +256,6 @@ def _row_losses(logits: np.ndarray, y: np.ndarray, grad: bool = False):
         # bit for bit -(y log p + (1 - y) log(1 - p)).
         losses = -np.log(np.where(y == 1, clipped, 1.0 - clipped))
         return (losses, (prob - y)[..., None]) if grad else losses
-    classes = logits.shape[-1]
     logp = _log_softmax(logits)
     # Row r's label entry sits at r * classes + label in the flat array.
     losses = -logp.reshape(-1)[np.arange(y.size).reshape(y.shape) * classes + y]
@@ -259,57 +265,49 @@ def _row_losses(logits: np.ndarray, y: np.ndarray, grad: bool = False):
 
 
 def loss_and_grad(
-    spec: ModelSpec, params: np.ndarray, batch: Dataset, sizes: np.ndarray | None = None
-) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
-    """Mean cross-entropy over the batch and its exact gradient.
+    spec: ModelSpec, params: np.ndarray, batch: Dataset, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each group's mean cross-entropy and its exact gradient.
 
-    With ``sizes`` (entries >= 1 that sum to the rows) the batch holds S
-    groups one after another, ``sizes[g]`` rows for group g, and ``params``
-    is ``(S, P)``, one model per group; the call returns each group's mean
-    loss ``(S,)`` and gradient ``(S, P)`` from one pass over the whole
-    batch.  Rows never mix across groups, so a non-finite group leaves the
-    others untouched.
+    The batch holds S groups one after another, ``sizes[g]`` rows for group
+    g (entries >= 1 that sum to the rows), and ``params`` is ``(S, P)``, one
+    model per group.  The call returns each group's mean loss ``(S,)`` and
+    gradient ``(S, P)`` from one pass over the whole batch.  Rows never mix
+    across groups, so a non-finite group leaves the others untouched.
     """
     params = np.asarray(params, dtype=float)
-    if params.shape[-1:] != (spec.param_length,) or params.ndim != (1 if sizes is None else 2):
+    if params.shape != (sizes.size, spec.param_length):
         raise InvalidDimensionError(
-            f"expected {spec.param_length} parameters, got shape {params.shape}"
+            f"expected {sizes.size} x {spec.param_length} parameters, got shape {params.shape}"
         )
     if not np.all(np.isfinite(params)):
         raise NumericalFailureError("model parameters are non-finite")
     if len(batch) == 0:
         raise InvalidDimensionError("batch must be nonempty")
 
-    x, y = batch.features, batch.labels
-    counts = len(batch) if sizes is None else sizes
-    if sizes is not None:
-        # Lay the groups out as (S, m) slots, group g's rows first in row g,
-        # so every layer is one batched matmul; padded slots get zero
-        # gradient and zero loss.
-        filled = np.arange(counts.max()) < counts[:, None]
-        x = np.zeros(filled.shape + x.shape[1:])
-        x[filled] = batch.features
-        y = np.zeros(filled.shape, dtype=batch.labels.dtype)
-        y[filled] = batch.labels
+    # Lay the groups out as (S, m) slots, group g's rows first in row g, so
+    # every layer is one batched matmul; padded slots get zero gradient and
+    # zero loss.
+    filled = np.arange(sizes.max()) < sizes[:, None]
+    x = np.zeros(filled.shape + batch.features.shape[1:])
+    x[filled] = batch.features
+    y = np.zeros(filled.shape, dtype=batch.labels.dtype)
+    y[filled] = batch.labels
 
     weights, inputs, logits = _forward(spec, params, x)
     losses, delta = _row_losses(logits, y, grad=True)
-    if sizes is None:
-        delta /= counts
-    else:
-        losses = np.where(filled, losses, 0.0)
-        delta = np.where(filled[..., None], delta, 0.0) / counts[:, None, None]
+    losses = np.where(filled, losses, 0.0)
+    delta = np.where(filled[..., None], delta, 0.0) / sizes[:, None, None]
     grads = []
     for i in reversed(range(len(weights))):
         a = inputs[i]
         grads[:0] = [
-            (np.swapaxes(delta, -1, -2) @ a).reshape(*params.shape[:-1], -1),
+            (np.swapaxes(delta, -1, -2) @ a).reshape(sizes.size, -1),
             delta.sum(axis=-2),
         ]
         if i:
             delta = (delta @ weights[i]) * a * (1.0 - a)
-    loss = losses.sum(axis=-1) / counts
-    return (float(loss) if sizes is None else loss), np.concatenate(grads, axis=-1)
+    return losses.sum(axis=-1) / sizes, np.concatenate(grads, axis=-1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -343,20 +341,17 @@ def _blocks(spec: ModelSpec, n: int) -> list[slice]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def forward_logits(
-    spec: ModelSpec, params: np.ndarray, features: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Logits ``(n, outputs)`` of one model on every row, a block at a time.
+def forward_logits(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Logits of one model on every row, a block at a time, as a new
+    ``(n, outputs)`` array.
 
     In a pass over two rows or more, a row's logits do not depend on the
-    rows passed with it.  ``out``, if given, is an ``(n, outputs)`` float
-    array that receives them.  Overflow gives non-finite logits, without a
+    rows passed with it.  Overflow gives non-finite logits, without a
     warning, for the caller to check.
     """
     params = np.asarray(params, dtype=float)
     features = np.asarray(features, dtype=float)
-    if out is None:
-        out = np.empty((len(features), _layer_shapes(spec)[-1][0]))
+    out = np.empty((len(features), _layer_shapes(spec)[-1][0]))
     for rows in _blocks(spec, len(features)):
         out[rows] = _forward(spec, params, features[rows])[2]
     return out
@@ -375,27 +370,16 @@ def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.nda
     return _predicted(forward_logits(spec, params, features))
 
 
-def accuracy(
-    spec: ModelSpec,
-    params: np.ndarray,
-    data: Dataset,
-    sizes: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> float | np.ndarray:
-    """Fraction of rows predicted correctly.
+def accuracy(logits: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Fraction of rows predicted correctly within each group of rows, from
+    the rows' logits, laid out as for ``group_loss``.
 
-    With ``sizes`` (the rows hold groups one after another, ``sizes[g]``
-    rows for group g, entries >= 1 that sum to the rows) it returns the
-    fraction within each group instead, from a single prediction pass.  The
-    correct count per group is an exact float and the division is the one
-    ``mean`` makes, so each entry equals the scalar form on that group alone.
-    The logits come from ``forward_logits``, which writes them to ``out``
-    if given.
+    No forward pass is made.  The correct count per group is an exact float
+    and the division is the one ``mean`` makes, so each entry equals the
+    mean of the group's correct predictions.
     """
-    correct = _predicted(forward_logits(spec, params, data.features, out)) == data.labels
-    if sizes is None:
-        return float(correct.mean())
-    return np.add.reduceat(correct.astype(float), np.cumsum(sizes) - sizes) / sizes
+    correct = (_predicted(logits) == labels).astype(float)
+    return np.add.reduceat(correct, np.cumsum(sizes) - sizes) / sizes
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
 
+import fairagg
 from fairagg.aggregator import MethodKind
 from fairagg.cli import (
     ROUNDS_HEADER,
@@ -439,6 +444,34 @@ def test_regret_bench_unwritable_output_fails_cleanly(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# numpy 2's np.unique imports numpy.ma on its first call, some 14 ms of a cold
+# start that no command needs.  numpy 1.x loads numpy.ma with numpy itself.
+NUMPY_MA_PROBE = """
+import json, sys
+import numpy
+before = "numpy.ma" in sys.modules
+from fairagg.cli import main, parse_config, run_experiment
+for scheme in ("IID", "Dirichlet", "Pathological"):
+    body = {"K": 4, "T": 2, "method": "AAggFFS", "partition": scheme, "output_dir": scheme}
+    assert run_experiment(parse_config(json.dumps(body))) == 0
+assert main(["regret-bench", "--rounds", "20", "--clients", "4"]) == 0
+assert main(["unify-check", "--instances", "3"]) == 0
+print(before, "numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_load_numpy_ma_only_with_numpy(tmp_path):
+    src = str(Path(fairagg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    before, after = done.stdout.split()[-2:]
+    assert after == before
 
 
 def test_main_unify_check(capsys):

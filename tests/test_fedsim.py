@@ -185,6 +185,19 @@ def feedback_of(params, pool, sizes, spec):
         return group_loss(forward_logits(spec, params, pool.features), pool.labels, sizes)
 
 
+def alone_loss_and_grad(spec, params, data):
+    """One model's mean loss and gradient on one group holding every row of
+    ``data``."""
+    (loss,), (grad,) = loss_and_grad(spec, params[None], data, np.array([len(data)]))
+    return loss, grad
+
+
+def alone_accuracy(spec, params, shard):
+    """One client's accuracy, from a forward pass over its rows alone."""
+    logits = forward_logits(spec, params, shard.features)
+    return accuracy(logits, shard.labels, np.array([len(shard)]))[0]
+
+
 def update_one(params, data, spec, *, rng, **kwargs):
     """client_update on a single client: its feedback, delta and diverged flag."""
     sizes = np.array([len(data)])
@@ -432,13 +445,13 @@ def per_client_update(params, data, spec, *, epochs, batch_size, lr, prox_mu, we
     minibatch per call; None if it diverged."""
     received = np.asarray(params, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        feedback, _ = loss_and_grad(spec, received, data)
+        feedback, _ = alone_loss_and_grad(spec, received, data)
         if not np.isfinite(feedback):
             return None
         local = received.copy()
         for _ in range(epochs):
             for batch_idx in epoch_batches(len(data), batch_size, rng):
-                loss, grad = loss_and_grad(spec, local, data.subset(batch_idx))
+                loss, grad = alone_loss_and_grad(spec, local, data.subset(batch_idx))
                 if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
                     return None
                 if prox_mu > 0.0:
@@ -755,7 +768,7 @@ def test_pooled_evaluation_matches_the_per_shard_loop():
     state = make_state(MethodKind.AAGGFF_D, pool_of(shards), sampling_c=0.2)
     for t in range(4):
         report = run_round(state, t)
-        per_shard = np.array([accuracy(BINARY, state.params, s) for s in shards])
+        per_shard = np.array([alone_accuracy(BINARY, state.params, s) for s in shards])
         assert report.summary == performance_summary(per_shard)
 
 
@@ -768,6 +781,35 @@ def test_clients_without_samples_are_rejected():
     for bad in (sizes[:1], np.array([0, len(pool)]), np.array([], dtype=np.int64)):
         with pytest.raises(InvalidDimensionError):
             make_state(MethodKind.STATIC, (pool, bad), bounds=one)
+
+
+def test_pool_labels_outside_the_model_classes_are_rejected():
+    pool, sizes = shards_for(3, classes=3)
+    for bad in (3, -1):
+        labels = pool.labels.copy()
+        labels[-1] = bad
+        with pytest.raises(DomainError, match=r"\[0, 3\)"):
+            make_state(MethodKind.STATIC, (Dataset(pool.features, labels), sizes), model_spec=TRI)
+    # One binary logit scores two classes, and these rows hold three.
+    with pytest.raises(DomainError, match=r"\[0, 2\)"):
+        make_state(MethodKind.STATIC, (pool, sizes), model_spec=BINARY)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0], ids=["partial", "C1"])
+@pytest.mark.parametrize("spec", [BINARY, MLP], ids=["binary", "mlp"])
+def test_kept_logits_are_a_fresh_pass_that_scores_the_round(spec, c):
+    state = make_state(
+        MethodKind.AAGGFF_S, shards_for(6, classes=spec.num_classes), model_spec=spec,
+        sampling_c=c, params=init_params(spec, 1),
+    )
+    for t in range(4):
+        report = run_round(state, t)
+        fresh = forward_logits(spec, state.params, state.pool.features)
+        assert state.logits.shape == fresh.shape
+        assert state.logits.tobytes() == fresh.tobytes()
+        np.testing.assert_array_equal(state.logits_params, state.params)
+        scored = accuracy(state.logits, state.pool.labels, state.sizes)
+        assert report.summary == performance_summary(scored)
 
 
 def test_adaptive_methods_initialize_their_state():
@@ -843,7 +885,7 @@ def old_dispatch_round(state, t, ons, ftrl):
         mixed += weight * delta
     state.params = server_apply(state.params, mixed, state.server_opt)
     state.decision = decision
-    per_client = np.array([accuracy(state.model_spec, state.params, s) for s in shards])
+    per_client = np.array([alone_accuracy(state.model_spec, state.params, s) for s in shards])
     report = RoundReport(
         round=t,
         sampled_ids=survivors,

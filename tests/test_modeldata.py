@@ -37,15 +37,21 @@ MULTI = ModelSpec(ModelKind.LOGISTIC, input_dim=3, num_classes=4)
 MLP = ModelSpec(ModelKind.MLP, input_dim=2, num_classes=3, hidden=5)
 
 
+def one_group(data):
+    """The sizes of one group holding every row of ``data``."""
+    return np.array([len(data)])
+
+
 def central_train_accuracy(spec, data, lr=0.5, steps=400):
     """Full-batch gradient descent to (near) convergence; train accuracy."""
     params = np.zeros(spec.param_length)
     if spec.kind is ModelKind.MLP:
         params = init_params(spec, seed=0)
     for _ in range(steps):
-        _, grad = loss_and_grad(spec, params, data)
+        _, (grad,) = loss_and_grad(spec, params[None], data, one_group(data))
         params = params - lr * grad
-    return accuracy(spec, params, data)
+    [train] = accuracy(forward_logits(spec, params, data.features), data.labels, one_group(data))
+    return train
 
 
 # ---------------------------------------------------------------------------
@@ -293,27 +299,27 @@ def test_partition_matches_the_per_client_reference(case):
 
 def test_zero_params_give_log_num_classes_loss():
     data = make_synthetic(50, 2, 2, seed=6)
-    loss, _ = loss_and_grad(BINARY, np.zeros(BINARY.param_length), data)
+    (loss,), _ = loss_and_grad(BINARY, np.zeros((1, BINARY.param_length)), data, one_group(data))
     assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     data4 = make_synthetic(50, 3, 4, seed=6)
-    loss4, _ = loss_and_grad(MULTI, np.zeros(MULTI.param_length), data4)
+    (loss4,), _ = loss_and_grad(MULTI, np.zeros((1, MULTI.param_length)), data4, one_group(data4))
     assert loss4 == pytest.approx(math.log(4.0), abs=1e-12)
 
     data3 = make_synthetic(50, 2, 3, seed=6)
-    loss3, _ = loss_and_grad(MLP, np.zeros(MLP.param_length), data3)
+    (loss3,), _ = loss_and_grad(MLP, np.zeros((1, MLP.param_length)), data3, one_group(data3))
     assert loss3 == pytest.approx(math.log(3.0), abs=1e-12)
 
 
 # The grouped cases give each of three groups its own parameters; a group's
 # loss depends on its own parameters only, so the summed loss has the same
-# gradient.  Explicit ids keep the names of the ungrouped cases.
+# gradient.  Explicit ids keep the names of the one-group cases.
 @pytest.mark.parametrize(
     "spec,classes,sizes",
     [
-        (BINARY, 2, None),
-        (MULTI, 4, None),
-        (MLP, 3, None),
+        (BINARY, 2, (40,)),
+        (MULTI, 4, (40,)),
+        (MLP, 3, (40,)),
         (BINARY, 2, (1, 14, 25)),
         (MULTI, 4, (1, 14, 25)),
         (MLP, 3, (1, 14, 25)),
@@ -323,8 +329,8 @@ def test_zero_params_give_log_num_classes_loss():
 def test_gradient_matches_finite_differences(spec, classes, sizes):
     data = make_synthetic(40, spec.input_dim, classes, seed=14)
     rng = np.random.default_rng(14)
-    sizes = None if sizes is None else np.array(sizes)
-    shape = (spec.param_length,) if sizes is None else (len(sizes), spec.param_length)
+    sizes = np.array(sizes)
+    shape = (len(sizes), spec.param_length)
     params = 0.5 * rng.standard_normal(shape)
     _, grad = loss_and_grad(spec, params, data, sizes)
     assert grad.shape == shape
@@ -344,14 +350,38 @@ def test_gradient_matches_finite_differences(spec, classes, sizes):
 def test_loss_rejects_bad_params_and_batches():
     data = make_synthetic(10, 2, 2, seed=0)
     with pytest.raises(InvalidDimensionError):
-        loss_and_grad(BINARY, np.zeros(5), data)
+        loss_and_grad(BINARY, np.zeros((1, 5)), data, one_group(data))
     with pytest.raises(NumericalFailureError):
-        loss_and_grad(BINARY, np.array([np.inf, 0.0, 0.0]), data)
-    with pytest.raises(InvalidDimensionError):  # grouped form needs (S, P)
+        loss_and_grad(BINARY, np.array([[np.inf, 0.0, 0.0]]), data, one_group(data))
+    with pytest.raises(InvalidDimensionError):  # params must be (S, P)
         loss_and_grad(BINARY, np.zeros(3), data, np.array([10]))
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     with pytest.raises(InvalidDimensionError):
-        loss_and_grad(BINARY, np.zeros(3), empty)
+        loss_and_grad(BINARY, np.zeros((0, 3)), empty, np.zeros(0, dtype=np.int64))
+
+
+# Row r's label entry sits at r * classes + label, so an unchecked label of
+# `classes` would read the next row's class 0, and -1 the previous row's last
+# class; a binary label of 2 would be scored as class 0.
+def test_loss_and_grad_reject_labels_outside_the_classes():
+    data = make_synthetic(3, 2, 3, seed=0)
+    for labels, named in (([0, 3, 2], 3), ([0, 1, 3], 3), ([-1, 1, 2], -1)):
+        bad = Dataset(data.features, np.array(labels))
+        with pytest.raises(DomainError, match=f"label {named} "):
+            loss_and_grad(MLP, np.zeros((1, MLP.param_length)), bad, one_group(bad))
+    binary = Dataset(data.features, np.array([0, 2, 1]))
+    with pytest.raises(DomainError, match="label 2"):
+        loss_and_grad(BINARY, np.zeros((3, 3)), binary, np.array([1, 1, 1]))
+
+
+def test_group_loss_rejects_labels_outside_the_classes():
+    logits = np.zeros((3, 3))
+    with pytest.raises(DomainError, match="label -1"):
+        group_loss(logits, np.array([0, -1, 2]), np.array([3]))
+    with pytest.raises(DomainError, match="label 3"):
+        group_loss(logits, np.array([0, 1, 3]), np.array([2, 1]))
+    with pytest.raises(DomainError, match="label 2"):
+        group_loss(np.zeros((2, 1)), np.array([1, 2]), np.array([2]))
 
 
 def test_predictions_follow_the_decision_boundary():
@@ -360,7 +390,8 @@ def test_predictions_follow_the_decision_boundary():
     out = predict(BINARY, np.array([1.0, 0.0, 0.0]), features)
     np.testing.assert_array_equal(out, [1, 0])
     data = Dataset(features, np.array([1, 1], dtype=np.int64))
-    assert accuracy(BINARY, np.array([1.0, 0.0, 0.0]), data) == 0.5
+    logits = forward_logits(BINARY, np.array([1.0, 0.0, 0.0]), features)
+    assert accuracy(logits, data.labels, one_group(data)).tolist() == [0.5]
 
 
 # The sigmoid of a logit in (0, 1.56e-16] rounds to exactly 0.5, so a rule
@@ -376,8 +407,9 @@ def test_binary_prediction_is_the_sign_of_the_logit(logit, expected):
     data = Dataset(np.zeros((3, 2)), np.full(3, expected, dtype=np.int64))
     params = np.array([0.0, 0.0, logit])
     np.testing.assert_array_equal(predict(BINARY, params, data.features), data.labels)
-    assert accuracy(BINARY, params, data) == 1.0
-    np.testing.assert_array_equal(accuracy(BINARY, params, data, np.array([1, 2])), [1.0, 1.0])
+    logits = forward_logits(BINARY, params, data.features)
+    assert accuracy(logits, data.labels, one_group(data)).tolist() == [1.0]
+    np.testing.assert_array_equal(accuracy(logits, data.labels, np.array([1, 2])), [1.0, 1.0])
 
 
 @settings(deadline=None, max_examples=100)
@@ -414,6 +446,7 @@ shard_sizes = st.lists(
 
 
 @settings(deadline=None)
+@example([1, 3, 1, 1], MULTI, 0)
 @given(shard_sizes, st.sampled_from([BINARY, MULTI, MLP]), st.integers(0, 2**32 - 1))
 def test_grouped_accuracy_equals_per_shard_accuracy(sizes, spec, seed):
     rng = np.random.default_rng(seed)
@@ -426,9 +459,19 @@ def test_grouped_accuracy_equals_per_shard_accuracy(sizes, spec, seed):
     ends = np.cumsum(sizes)
     shards = [pooled.subset(np.arange(end - size, end)) for end, size in zip(ends, sizes)]
 
-    grouped = accuracy(spec, params, pooled, np.array(sizes))
+    logits = forward_logits(spec, params, pooled.features)
+    grouped = accuracy(logits, pooled.labels, np.array(sizes))
     assert grouped.shape == (len(sizes),)
-    assert grouped.tolist() == [accuracy(spec, params, shard) for shard in shards]
+    # The per-group mean of the given logits' correct predictions ...
+    correct = modeldata._predicted(logits) == pooled.labels
+    assert grouped.tolist() == [
+        float(correct[end - size:end].mean()) for end, size in zip(ends, sizes)
+    ]
+    # ... and of each shard's logits from a pass over its rows alone.
+    assert grouped.tolist() == [
+        accuracy(forward_logits(spec, params, shard.features), shard.labels, one_group(shard))[0]
+        for shard in shards
+    ]
 
 
 @settings(deadline=None)
@@ -451,12 +494,11 @@ def test_grouped_loss_and_grad_equal_per_group_calls(sizes, spec, seed):
     assert loss.shape == shared.shape == (len(sizes),)
     assert grad.shape == params.shape
     for g, shard in enumerate(shards):
-        one_loss, one_grad = loss_and_grad(spec, params[g], shard)
+        (one_loss,), (one_grad,) = loss_and_grad(spec, params[g:g + 1], shard, one_group(shard))
         np.testing.assert_allclose(loss[g], one_loss, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grad[g], one_grad, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(
-            shared[g], loss_and_grad(spec, params[0], shard)[0], rtol=1e-12, atol=1e-12
-        )
+        (shared_loss,), _ = loss_and_grad(spec, params[:1], shard, one_group(shard))
+        np.testing.assert_allclose(shared[g], shared_loss, rtol=1e-12, atol=1e-12)
 
 
 def block_rows(spec):
@@ -482,10 +524,9 @@ def test_blocked_evaluation_equals_one_unblocked_pass(spec):
         sizes = n // 5 + (np.arange(min(n, 5)) < n % 5) if n >= 5 else np.ones(n, dtype=int)
 
         whole = modeldata._forward(spec, params, data.features)[2]
-        kept = np.empty_like(whole)
-        grouped = accuracy(spec, params, data, sizes, out=kept)
-        assert kept.tobytes() == whole.tobytes()
-        assert forward_logits(spec, params, data.features).tobytes() == whole.tobytes()
+        logits = forward_logits(spec, params, data.features)
+        assert logits.tobytes() == whole.tobytes()
+        grouped = accuracy(logits, data.labels, sizes)
         correct = (modeldata._predicted(whole) == data.labels).astype(float)
         expected = np.add.reduceat(correct, np.cumsum(sizes) - sizes) / sizes
         assert grouped.tobytes() == expected.tobytes()
