@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decision import lipschitz_constants
-from .errors import DomainError, InvalidDimensionError, NumericalFailureError
+from .errors import DomainError, InvalidDimensionError, NonConvergenceError, NumericalFailureError
 from .response import ResponseBounds
 from .simplex import project_generalized, uniform_decision
 
@@ -190,8 +190,9 @@ def aaggff_s_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.n
     The gradient's shape and finiteness and the rank-1 denominator
     ``1 + beta g^T inv g`` are checked before the first write, so a step that
     raises on them leaves the state as it was.  Only the projection follows
-    the writes: on these metrics its exact solve passes its KKT check at
-    iteration 0, and every caller ends the seed on any error.
+    the writes.  On these metrics its exact solve passes its KKT check at
+    iteration 0; should the certifier stall, the step logs a warning and
+    plays its best iterate, a point on the simplex, and the seed goes on.
     """
     g = np.asarray(gradient, dtype=float)
     if g.shape != state.grad_sum.shape:
@@ -219,9 +220,16 @@ def aaggff_s_step(state: OnsState, gradient: np.ndarray) -> tuple[OnsState, np.n
     outer = np.einsum("i,j->ij", iv, iv)
     outer *= state.beta / denom
     state.inv -= outer
-    state.last_decision = project_generalized(
-        state.inv @ (state.rhs - state.grad_sum), state.mat, b_inv=state.inv
-    )
+    try:
+        state.last_decision = project_generalized(
+            state.inv @ (state.rhs - state.grad_sum), state.mat, b_inv=state.inv
+        )
+    except NonConvergenceError as exc:
+        logger.warning(
+            "projection stalled in step %d at KKT residual %.3e; playing its best iterate",
+            state.round, exc.residual,
+        )
+        state.last_decision = exc.best_iterate
     return state, state.last_decision
 
 

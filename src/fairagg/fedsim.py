@@ -21,11 +21,11 @@ more rows than the batch size shuffles them with its own generator every
 epoch.  A client whose rows fit one minibatch takes one full-batch step per
 epoch, which no order of its rows changes, so it walks them in pool order and
 gets no generator.
-``client_update`` returns arrays over the clients it trains: deltas
-``(S, P)`` and a diverged mask ``(S,)``.  A client with non-finite feedback
-is not trained, and a diverged client's delta holds no usable values; the
-round drops both with a warning and fails only when every sampled client was
-dropped.
+``client_update`` trains every sampled client and returns deltas ``(S, P)``
+and a diverged mask ``(S,)``.  The response estimate observes every sampled
+client, at the worst response ``c2`` where its feedback is non-finite.  Only
+mixing drops a client, with a warning, for non-finite feedback or a diverged
+delta; the round fails when no client is left to mix.
 
 Client data is one pooled dataset, each client's rows together in ascending
 client id, plus each client's row count; a round gathers the sampled clients'
@@ -35,7 +35,7 @@ another with the groups' sizes.
 
 An adaptive method takes one ``step`` per round of the optimizer that
 ``aggregator.optimizer_init`` gave it; a closed-form baseline has none and
-computes its coefficients over the round's surviving clients.
+computes its coefficients over the round's mixed clients.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .modeldata import (
     Dataset,
     ModelSpec,
     accuracy,
+    check_group_sizes,
     epoch_batches,
     forward_logits,
     group_loss,
@@ -162,8 +163,7 @@ def client_update(
     become non-finite stops training and is marked in ``diverged``; nothing
     is raised or warned, and its row of ``deltas`` must not be used.
     """
-    if sizes.size == 0 or sizes.min() < 1 or sizes.sum() != len(data):
-        raise InvalidDimensionError("sizes must be nonempty, positive and cover the data")
+    check_group_sizes(sizes, len(data))
     if len(rngs) != sizes.size:
         raise InvalidDimensionError(f"got {len(rngs)} generators for {sizes.size} clients")
     shuffled = _shuffled(sizes, epochs, batch_size)
@@ -288,8 +288,7 @@ class SimulationState:
     logits_params: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.sizes.size == 0 or self.sizes.min() < 1 or self.sizes.sum() != len(self.pool):
-            raise InvalidDimensionError("sizes must be nonempty, positive and cover the pool")
+        check_group_sizes(self.sizes, len(self.pool))
         classes = self.model_spec.num_classes
         if self.pool.labels.min() < 0 or self.pool.labels.max() >= classes:
             raise DomainError(f"pool labels must lie in [0, {classes})")
@@ -336,13 +335,16 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     over the logits the last round's evaluation kept for these parameters.
     If ``state.params`` differs in value from the parameters those logits
     were computed for (in round 0, or after a caller replaced or wrote into
-    them), the pool is evaluated first.  A client with non-finite feedback is
-    dropped without training.
+    them), the pool is evaluated first.  If no feedback is finite, the round
+    raises DivergenceError before any training.
 
-    A trained client with more rows than the batch size shuffles them with
-    its generator from ``SeedSequence([seed, 4, t, client])``.  A client
-    whose rows fit one minibatch gets None in its place, and at zero epochs
-    no client gets a generator.
+    Every sampled client trains.  One with more rows than the batch size
+    shuffles them with its generator from ``SeedSequence([seed, 4, t,
+    client])``; the others, and every client at zero epochs, get None.
+    AAggFFD takes the doubly-robust path exactly when ``state.propensity <
+    1``, the rule ``optimizer_init`` sizes FTRL by.  The report's
+    ``sampled_ids`` are the mixed clients, and ``mean_feedback`` averages
+    the finite feedback.
     """
     k = state.k
     sampling_rng = np.random.default_rng(
@@ -359,55 +361,54 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
         state.logits = forward_logits(state.model_spec, state.params, state.pool.features)
         state.logits_params = state.params.copy()
     feedback = group_loss(state.logits[rows], state.pool.labels[rows], sizes)
-    diverged = ~np.isfinite(feedback)
-    trains = ~diverged
-    if trains.any():
-        trained, trained_sizes = sampled[trains], sizes[trains]
-        shuffled = _shuffled(trained_sizes, state.epochs, state.batch_size)
-        entropy = iter(_client_entropy(state.master_seed, t, trained[shuffled]))
-        deltas, failed = client_update(
-            state.params,
-            state.pool.subset(rows[np.repeat(trains, sizes)]),
-            trained_sizes,
-            state.model_spec,
-            epochs=state.epochs,
-            batch_size=state.batch_size,
-            lr=_effective_lr(state, t),
-            prox_mu=state.prox_mu,
-            weight_decay=state.weight_decay,
-            rngs=[
-                np.random.default_rng(np.random.SeedSequence(next(entropy))) if shuffles else None
-                for shuffles in shuffled
-            ],
-        )
-        diverged[trains] = failed
-        deltas = deltas[~failed]
-    for client_id in sampled[diverged]:
+    finite = np.isfinite(feedback)
+    if not finite.any():
+        raise DivergenceError(f"every sampled client diverged in round {t}", round_index=t)
+    shuffled = _shuffled(sizes, state.epochs, state.batch_size)
+    entropy = iter(_client_entropy(state.master_seed, t, sampled[shuffled]))
+    deltas, failed = client_update(
+        state.params,
+        state.pool.subset(rows),
+        sizes,
+        state.model_spec,
+        epochs=state.epochs,
+        batch_size=state.batch_size,
+        lr=_effective_lr(state, t),
+        prox_mu=state.prox_mu,
+        weight_decay=state.weight_decay,
+        rngs=[
+            np.random.default_rng(np.random.SeedSequence(next(entropy))) if shuffles else None
+            for shuffles in shuffled
+        ],
+    )
+    mixed = finite & ~failed
+    for client_id in sampled[~mixed]:
         logger.warning("dropping diverged client %d in round %d", client_id, t)
-    survivors = sampled[~diverged]
+    survivors = sampled[mixed]
     if survivors.size == 0:
         raise DivergenceError(f"every sampled client diverged in round {t}", round_index=t)
 
-    feedbacks = feedback[~diverged]
-    responses = transform_losses(feedbacks, state.cdf, state.bounds)
+    # The observed set is the sampled one, at a known propensity.
+    responses = np.full(sampled.size, state.bounds.c2)
+    responses[finite] = transform_losses(feedback[finite], state.cdf, state.bounds)
 
     observed = np.zeros(k, dtype=bool)
-    observed[survivors] = True
+    observed[sampled] = True
     scattered = np.zeros(k)
-    scattered[survivors] = responses
+    scattered[sampled] = responses
 
     prev_decision = state.decision
 
     # AAggFFD corrects a partial round by its propensity; every other round
     # is completed at propensity 1, which imputes the observed mean.
-    doubly_robust = state.method.kind is MethodKind.AAGGFF_D and len(survivors) < k
+    doubly_robust = state.method.kind is MethodKind.AAGGFF_D and state.propensity < 1.0
     r_for_loss = dr_response(scattered, observed, state.propensity if doubly_robust else 1.0)
     round_loss = decision_loss(prev_decision, r_for_loss)
 
     if state.optimizer is None:
         new_decision = np.zeros(k)
         new_decision[survivors] = baseline_coefficients(
-            state.method, state.sizes[survivors], feedbacks
+            state.method, state.sizes[survivors], feedback[mixed]
         )
     else:
         if doubly_robust:
@@ -419,7 +420,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     weights = normalize_selected(new_decision, survivors)
     # sum(axis=0) adds the rows one after another in client order, a fixed
     # reduction order; a matrix product may block and reorder the sums.
-    mixed_delta = (weights[:, None] * deltas).sum(axis=0)
+    mixed_delta = (weights[:, None] * deltas[mixed]).sum(axis=0)
 
     state.params = server_apply(state.params, mixed_delta, state.server_opt)
     state.decision = new_decision
@@ -432,7 +433,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     return RoundReport(
         round=t,
         sampled_ids=survivors.tolist(),
-        mean_feedback=float(feedbacks.mean()),
+        mean_feedback=float(feedback[finite].mean()),
         decision_loss=round_loss,
         decision=new_decision,
         summary=performance_summary(client_accuracy),

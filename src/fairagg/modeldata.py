@@ -264,6 +264,12 @@ def _row_losses(logits: np.ndarray, y: np.ndarray, grad: bool = False):
     return losses, np.exp(logp) - (y[..., None] == np.arange(classes))
 
 
+def check_group_sizes(sizes: np.ndarray, rows: int) -> None:
+    """Raise InvalidDimensionError unless ``sizes`` are >= 1 and sum to ``rows``."""
+    if sizes.size == 0 or sizes.min() < 1 or sizes.sum() != rows:
+        raise InvalidDimensionError(f"group sizes must be >= 1 and sum to the {rows} rows")
+
+
 def loss_and_grad(
     spec: ModelSpec, params: np.ndarray, batch: Dataset, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -282,8 +288,7 @@ def loss_and_grad(
         )
     if not np.all(np.isfinite(params)):
         raise NumericalFailureError("model parameters are non-finite")
-    if len(batch) == 0:
-        raise InvalidDimensionError("batch must be nonempty")
+    check_group_sizes(sizes, len(batch))
 
     # Lay the groups out as (S, m) slots, group g's rows first in row g, so
     # every layer is one batched matmul; padded slots get zero gradient and
@@ -319,6 +324,7 @@ def group_loss(logits: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.
     with non-finite logits gets a non-finite loss, without a warning, for the
     caller to check.
     """
+    check_group_sizes(sizes, len(labels))
     return np.add.reduceat(_row_losses(logits, labels), np.cumsum(sizes) - sizes) / sizes
 
 
@@ -378,6 +384,7 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.nd
     and the division is the one ``mean`` makes, so each entry equals the
     mean of the group's correct predictions.
     """
+    check_group_sizes(sizes, len(labels))
     correct = (_predicted(logits) == labels).astype(float)
     return np.add.reduceat(correct, np.cumsum(sizes) - sizes) / sizes
 

@@ -28,10 +28,15 @@ from fairagg.aggregator import (
     normalize_selected,
     ons_init,
 )
-from fairagg import simplex
+from fairagg import aggregator, simplex
 from fairagg.cli import synthetic_responses, unify_instance
 from fairagg.decision import decision_grad, dr_response, linearized_grad, lipschitz_constants
-from fairagg.errors import DomainError, InvalidDimensionError, NumericalFailureError
+from fairagg.errors import (
+    DomainError,
+    InvalidDimensionError,
+    NonConvergenceError,
+    NumericalFailureError,
+)
 from fairagg.metrics import cumulative_regret
 from fairagg.response import ResponseBounds
 from fairagg.simplex import kkt_residual, minimize_over_simplex, uniform_decision
@@ -328,6 +333,35 @@ def test_ons_lost_positive_definiteness_is_a_numerical_failure():
     state = replace(ons_init(3, 0.5), inv=-np.eye(3))
     with pytest.raises(NumericalFailureError, match="positive definiteness"):
         aaggff_s_step(state, -np.ones(3))
+
+
+def test_a_stalled_projection_costs_one_decision(monkeypatch, caplog):
+    # The first projection's certifier stalls; the step plays its best
+    # iterate, a feasible point, and the next step projects as usual.
+    best = np.array([0.2, 0.5, 0.3])
+    real = aggregator.project_generalized
+    calls = []
+
+    def stalling(q, b, **kwargs):
+        calls.append(q)
+        if len(calls) == 1:
+            raise NonConvergenceError("stalled", best_iterate=best, residual=3e-8)
+        return real(q, b, **kwargs)
+
+    monkeypatch.setattr(aggregator, "project_generalized", stalling)
+    state = ons_init(3, 0.5)
+    with caplog.at_level(logging.WARNING, logger="fairagg.aggregator"):
+        state, decision = aaggff_s_step(state, np.array([-0.1, -0.4, -0.2]))
+        np.testing.assert_array_equal(decision, best)
+        np.testing.assert_array_equal(state.last_decision, best)
+        assert [r.getMessage() for r in caplog.records] == [
+            "projection stalled in step 1 at KKT residual 3.000e-08; playing its best iterate"
+        ]
+        state, decision = aaggff_s_step(state, decision_grad(decision, np.array([0.1, 0.4, 0.2])))
+    assert len(calls) == 2
+    assert state.round == 2
+    assert simplex.is_decision(decision)
+    assert len(caplog.records) == 1
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,7 @@ from fairagg.fedsim import (
     server_apply,
 )
 from fairagg.metrics import performance_summary
-from fairagg import fedsim
+from fairagg import aggregator, fedsim
 from fairagg.decision import (
     decision_grad,
     decision_loss,
@@ -313,9 +313,23 @@ def trained_sizes(monkeypatch):
     return seen
 
 
-def test_non_finite_feedback_is_flagged_without_training(monkeypatch):
+def spy_dr_response(monkeypatch):
+    """Record the (values, observed) pair of every dr_response call run_round makes."""
+    seen = []
+    real = fedsim.dr_response
+
+    def recording(values, observed, propensity):
+        seen.append((values.copy(), observed.copy()))
+        return real(values, observed, propensity)
+
+    monkeypatch.setattr(fedsim, "dr_response", recording)
+    return seen
+
+
+def test_non_finite_feedback_client_is_dropped_from_mixing(monkeypatch):
     # Overflowing logits already on the received model: the client is
-    # dropped on its feedback even with no local step to take.
+    # dropped from mixing on its feedback even with no local step to take,
+    # and the estimate observes it at the worst response.
     good = make_synthetic(6, 2, 3, seed=1)
     bad = Dataset(1e200 * np.ones((3, 2)), np.array([0, 1, 2], dtype=np.int64))
     state = make_state(
@@ -323,9 +337,13 @@ def test_non_finite_feedback_is_flagged_without_training(monkeypatch):
         params=np.full(TRI.param_length, 1e200),
     )
     seen = trained_sizes(monkeypatch)
+    estimated = spy_dr_response(monkeypatch)
     report = run_round(state, 0)
     assert report.sampled_ids == [0]
-    assert seen == [[6]]
+    assert seen == [[6, 3]]
+    [(values, observed)] = estimated
+    assert observed.tolist() == [True, True]
+    assert values[1] == state.bounds.c2
 
 
 def test_non_finite_global_model_aborts_the_round_without_training(monkeypatch):
@@ -832,6 +850,8 @@ def old_dispatch_round(state, t, ons, ftrl):
     Feedback comes from a forward pass of its own over the sampled clients'
     rows on the received model, each client's generator from the list form
     of its seed sequence, and the summary from one accuracy call per client.
+    Every sampled client trains and is observed; mixing leaves out the ones
+    with non-finite feedback or a diverged delta.
 
     Returns (sampled, report, ons, ftrl).
     """
@@ -844,28 +864,29 @@ def old_dispatch_round(state, t, ons, ftrl):
     feedback = feedback_of(
         state.params, *pool_of([shards[i] for i in sampled]), state.model_spec
     )
-    trained = [i for i, f in zip(sampled, feedback) if np.isfinite(f)]
-    diverged = ~np.isfinite(feedback)
+    finite = np.isfinite(feedback)
     deltas, failed = client_update(
-        state.params, *pool_of([shards[i] for i in trained]), state.model_spec,
+        state.params, *pool_of([shards[i] for i in sampled]), state.model_spec,
         epochs=state.epochs, batch_size=state.batch_size, lr=_effective_lr(state, t),
         prox_mu=state.prox_mu, weight_decay=state.weight_decay,
         rngs=[
             np.random.default_rng(
                 np.random.SeedSequence([state.master_seed, fedsim._STREAM_CLIENT, t, i])
             )
-            for i in trained
+            for i in sampled
         ],
     )
-    diverged[~diverged] = failed
-    survivors = [i for i, bad in zip(sampled, diverged) if not bad]
-    feedbacks = feedback[~diverged]
-    responses = transform_losses(feedbacks, state.cdf, state.bounds)
-    observed = np.isin(np.arange(k), survivors)
+    mixed = finite & ~failed
+    survivors = [i for i, keep in zip(sampled, mixed) if keep]
+    feedbacks = feedback[mixed]
+    # Every sampled client is observed, a non-finite feedback at the worst response.
+    responses = np.full(len(sampled), state.bounds.c2)
+    responses[finite] = transform_losses(feedback[finite], state.cdf, state.bounds)
+    observed = np.isin(np.arange(k), sampled)
     scattered = np.zeros(k)
-    scattered[survivors] = responses
+    scattered[sampled] = responses
     kind = state.method.kind
-    if kind is MethodKind.AAGGFF_D and len(survivors) < k:
+    if kind is MethodKind.AAGGFF_D and state.propensity < 1.0:
         r = dr_response(scattered, observed, state.propensity)
         gradient = linearized_grad(r, state.decision, float(responses.mean()))
     else:
@@ -880,16 +901,16 @@ def old_dispatch_round(state, t, ons, ftrl):
         ons, decision = aaggff_s_step(ons, gradient)
     else:
         ftrl, decision = aaggff_d_step(ftrl, gradient)
-    mixed = np.zeros_like(state.params)
-    for weight, delta in zip(normalize_selected(decision, survivors), deltas[~failed]):
-        mixed += weight * delta
-    state.params = server_apply(state.params, mixed, state.server_opt)
+    mixed_delta = np.zeros_like(state.params)
+    for weight, delta in zip(normalize_selected(decision, survivors), deltas[mixed]):
+        mixed_delta += weight * delta
+    state.params = server_apply(state.params, mixed_delta, state.server_opt)
     state.decision = decision
     per_client = np.array([alone_accuracy(state.model_spec, state.params, s) for s in shards])
     report = RoundReport(
         round=t,
         sampled_ids=survivors,
-        mean_feedback=float(feedbacks.mean()),
+        mean_feedback=float(feedback[finite].mean()),
         decision_loss=loss,
         decision=decision,
         summary=performance_summary(per_client),
@@ -1008,3 +1029,109 @@ def test_rounds_stay_on_the_simplex_and_drop_the_diverging_client(kind, k, c, ba
         assert normalize_selected(report.decision, report.sampled_ids).sum() == pytest.approx(1.0)
         assert report.sampled_ids == sorted(set(report.sampled_ids))
         assert bad not in report.sampled_ids
+
+
+# ---------------------------------------------------------------------------
+# what a round observes
+# ---------------------------------------------------------------------------
+
+def overflowing_clients(k, bad, seed=4):
+    """A (pool, sizes) layout of k IID three-class clients of 40 rows; client
+    ``bad`` overflows on its second SGD step whenever it is sampled."""
+    base = make_synthetic(40 * k, 2, 3, seed=seed)
+    clients = split(*partition(base, PartitionSpec(PartitionScheme.IID, k=k, seed=seed)))
+    clients[bad] = Dataset(1e200 * np.ones_like(clients[bad].features), clients[bad].labels)
+    return pool_of(clients)
+
+
+def sampled_in(state, t):
+    rng = np.random.default_rng(
+        np.random.SeedSequence([state.master_seed, fedsim._STREAM_SAMPLING, t])
+    )
+    return sample_clients(state.k, state.sampling_c, rng)
+
+
+def test_a_client_diverging_in_training_is_still_observed(monkeypatch, caplog):
+    state = make_state(
+        MethodKind.AAGGFF_D, overflowing_clients(6, bad=2), seed=2, model_spec=TRI,
+        sampling_c=0.5, bounds=ResponseBounds.cross_silo(6),
+    )
+    estimated = spy_dr_response(monkeypatch)
+    checked = 0
+    for t in range(5):
+        sampled = sampled_in(state, t)
+        feedback = feedback_of(state.params, state.pool, state.sizes, TRI)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="fairagg.fedsim"):
+            report = run_round(state, t)
+        values, observed = estimated[-1]
+        assert np.flatnonzero(observed).tolist() == sampled
+        expected = transform_losses(feedback[sampled], state.cdf, state.bounds)
+        np.testing.assert_array_equal(values[sampled], expected)
+        if 2 in sampled:
+            assert np.isfinite(feedback[2])
+            assert 2 not in report.sampled_ids
+            assert [r.getMessage() for r in caplog.records] == [
+                f"dropping diverged client 2 in round {t}"
+            ]
+            checked += 1
+    assert checked > 0
+
+
+def spy_ftrl_steps(monkeypatch):
+    """Record (gradient, l_inf_dr) of every step AAggFFD's optimizer takes."""
+    fed = []
+    real = aggregator.aaggff_d_step
+
+    def recording(ftrl, gradient):
+        fed.append((gradient.copy(), ftrl.l_inf_dr))
+        return real(ftrl, gradient)
+
+    monkeypatch.setattr(aggregator, "aaggff_d_step", recording)
+    return fed
+
+
+def test_full_participation_feeds_ftrl_the_exact_gradient(monkeypatch):
+    # Client 2 is dropped from mixing every round, yet at C=1 every client
+    # is observed, so the round is complete and FTRL takes the gradient
+    # at the played decision.
+    state = make_state(
+        MethodKind.AAGGFF_D, overflowing_clients(6, bad=2), seed=2, model_spec=TRI,
+        sampling_c=1.0, bounds=ResponseBounds.cross_silo(6),
+    )
+    linearized = []
+    monkeypatch.setattr(fedsim, "linearized_grad", lambda *args: linearized.append(args))
+    fed = spy_ftrl_steps(monkeypatch)
+    estimated = spy_dr_response(monkeypatch)
+    for t in range(4):
+        prev = state.decision.copy()
+        report = run_round(state, t)
+        assert 2 not in report.sampled_ids
+        values, observed = estimated[-1]
+        assert observed.all()
+        np.testing.assert_array_equal(fed[-1][0], decision_grad(prev, values))
+    assert linearized == []
+    assert len(fed) == 4
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    k=st.integers(7, 10),
+    c=st.sampled_from([0.3, 0.5, 1.0]),
+    bad=st.integers(0, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aaggff_d_gradients_stay_within_the_bound_ftrl_was_sized_with(k, c, bad, seed):
+    # At k >= 7 every C here samples two clients or more, so a round always
+    # has one left to mix when the bad client is dropped.
+    bad %= k
+    state = make_state(
+        MethodKind.AAGGFF_D, overflowing_clients(k, bad, seed=1), seed=seed, model_spec=TRI,
+        sampling_c=c, bounds=ResponseBounds.cross_silo(k),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        fed = spy_ftrl_steps(mp)
+        for t in range(4):
+            run_round(state, t)
+    assert len(fed) == 4
+    assert all(np.max(np.abs(gradient)) <= bound for gradient, bound in fed)

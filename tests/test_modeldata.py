@@ -384,6 +384,32 @@ def test_group_loss_rejects_labels_outside_the_classes():
         group_loss(np.zeros((2, 1)), np.array([1, 2]), np.array([2]))
 
 
+# Sizes that miss rows or count them twice would score the wrong rows, and a
+# zero size divides by zero.
+def uncovering_sizes(rows):
+    for sizes in ([rows - 1], [rows + 1], [0, rows], [rows, 0], [-1, rows + 1], []):
+        yield np.array(sizes, dtype=np.int64)
+
+
+def test_group_loss_rejects_sizes_that_do_not_cover_the_rows():
+    for sizes in uncovering_sizes(3):
+        with pytest.raises(InvalidDimensionError, match="group sizes"):
+            group_loss(np.ones((3, 3)), np.array([1, 1, 1]), sizes)
+
+
+def test_accuracy_rejects_sizes_that_do_not_cover_the_rows():
+    for sizes in uncovering_sizes(3):
+        with pytest.raises(InvalidDimensionError, match="group sizes"):
+            accuracy(np.ones((3, 1)), np.array([1, 1, 1]), sizes)
+
+
+def test_loss_and_grad_rejects_sizes_that_do_not_cover_the_rows():
+    data = make_synthetic(10, 2, 2, seed=0)
+    for sizes in uncovering_sizes(10):
+        with pytest.raises(InvalidDimensionError, match="group sizes"):
+            loss_and_grad(BINARY, np.zeros((sizes.size, 3)), data, sizes)
+
+
 def test_predictions_follow_the_decision_boundary():
     # Weights (1, 0), bias 0: the sign of the first feature decides.
     features = np.array([[2.0, 5.0], [-2.0, 5.0]])
