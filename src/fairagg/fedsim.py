@@ -16,11 +16,12 @@ feedback is the loss over the sampled rows' kept logits, with no forward
 pass of its own.
 
 The sampled clients train together: each local SGD step is one stacked
-gradient pass over every still-training client's minibatch.  A client with
-more rows than the batch size shuffles them with its own generator every
-epoch.  A client whose rows fit one minibatch takes one full-batch step per
-epoch, which no order of its rows changes, so it walks them in pool order and
-gets no generator.
+gradient pass over every still-training client's minibatch.  ``run_round``
+hands ``client_update`` every sampled client's substream entropy.  A client
+with more rows than the batch size seeds a generator from it and shuffles its
+rows every epoch.  A client whose rows fit one minibatch takes one full-batch
+step per epoch, which no order of its rows changes, so it walks them in pool
+order and builds no generator.
 ``client_update`` trains every sampled client and returns deltas ``(S, P)``
 and a diverged mask ``(S,)``.  The response estimate observes every sampled
 client, at the worst response ``c2`` where its feedback is non-finite.  Only
@@ -63,7 +64,6 @@ from .modeldata import (
     ModelSpec,
     accuracy,
     check_group_sizes,
-    epoch_batches,
     forward_logits,
     group_loss,
     loss_and_grad,
@@ -125,12 +125,6 @@ def sample_clients(k: int, c: float, rng: np.random.Generator) -> list[int]:
     return sorted(int(i) for i in chosen)
 
 
-def _shuffled(sizes: np.ndarray, epochs: int, batch_size: int) -> np.ndarray:
-    """Which clients shuffle their rows in local training: those with more
-    rows than one minibatch, when there is an epoch to train."""
-    return (sizes > batch_size) & (epochs > 0)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def client_update(
     params: np.ndarray,
@@ -143,19 +137,20 @@ def client_update(
     lr: float,
     prox_mu: float,
     weight_decay: float,
-    rngs: list[np.random.Generator | None],
+    entropy: np.ndarray | list[list[int]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run local SGD from the received model for every client at once.
 
     ``data`` holds the clients' rows one client after another, ``sizes[i]``
-    of them for client i, and ``rngs[i]`` is client i's generator.  A client
-    with more than ``batch_size`` rows shuffles them with its generator every
-    epoch and walks them in minibatches.  A client whose rows fit one
-    minibatch walks them in pool order every epoch and never draws from its
-    generator, which may be None.  SGD step s moves every client that still
-    has an s-th minibatch, with one ``loss_and_grad`` call over those
-    minibatches stacked together.  With prox_mu > 0 every step pulls back
-    toward the received parameters.
+    of them for client i, and ``entropy[i]`` is the ``SeedSequence`` entropy
+    of client i's stream.  A client with more than ``batch_size`` rows seeds
+    a generator from it and walks one fresh permutation of its rows every
+    epoch, ``batch_size`` rows per minibatch.  A client whose rows fit one
+    minibatch, and every client at zero epochs, walks its rows in pool order
+    and builds no generator.  ``batch_size`` must be at least 1.  SGD step s
+    moves every client that still has an s-th minibatch, with one
+    ``loss_and_grad`` call over those minibatches stacked together.  With
+    prox_mu > 0 every step pulls back toward the received parameters.
 
     Returns ``(deltas, diverged)`` in the order of ``sizes``: the received
     parameters minus each client's final local ones ``(S, P)``, and a
@@ -164,21 +159,21 @@ def client_update(
     is raised or warned, and its row of ``deltas`` must not be used.
     """
     check_group_sizes(sizes, len(data))
-    if len(rngs) != sizes.size:
-        raise InvalidDimensionError(f"got {len(rngs)} generators for {sizes.size} clients")
-    shuffled = _shuffled(sizes, epochs, batch_size)
-    if any(rngs[i] is None for i in np.flatnonzero(shuffled)):
-        raise InvalidDimensionError(
-            f"a client with more than {batch_size} rows has no generator to shuffle them"
-        )
+    if len(entropy) != sizes.size:
+        raise InvalidDimensionError(f"got {len(entropy)} entropy rows for {sizes.size} clients")
+    if batch_size < 1:
+        raise DomainError("batch size must be >= 1")
     received = np.asarray(params, dtype=float)
-    offsets = np.cumsum(sizes) - sizes
     # Row indices into ``data`` of every client's minibatches, in step order.
-    schedules = [
-        [batch + offset for _ in range(epochs) for batch in epoch_batches(size, batch_size, rng)]
-        if shuffles else [np.arange(offset, offset + size)] * epochs
-        for size, offset, rng, shuffles in zip(sizes, offsets, rngs, shuffled)
-    ]
+    schedules = []
+    for size, offset, seed in zip(sizes, np.cumsum(sizes) - sizes, entropy):
+        if size <= batch_size or epochs == 0:
+            schedules.append([np.arange(offset, offset + size)] * epochs)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            orders = [offset + rng.permutation(size) for _ in range(epochs)]
+            schedules.append([order[start:start + batch_size]
+                              for order in orders for start in range(0, size, batch_size)])
     steps = np.array([len(batches) for batches in schedules])
     local = np.tile(received, (sizes.size, 1))
     diverged = np.zeros(sizes.size, dtype=bool)
@@ -336,11 +331,11 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     If ``state.params`` differs in value from the parameters those logits
     were computed for (in round 0, or after a caller replaced or wrote into
     them), the pool is evaluated first.  If no feedback is finite, the round
-    raises DivergenceError before any training.
+    raises DivergenceError before any training; if all finite feedback is
+    zero, every finite one takes the CDF's response at ratio 1.
 
-    Every sampled client trains.  One with more rows than the batch size
-    shuffles them with its generator from ``SeedSequence([seed, 4, t,
-    client])``; the others, and every client at zero epochs, get None.
+    Every sampled client trains, on the stream ``SeedSequence([seed, 4, t,
+    client])``, which ``client_update`` seeds only for a client that shuffles.
     AAggFFD takes the doubly-robust path exactly when ``state.propensity <
     1``, the rule ``optimizer_init`` sizes FTRL by.  The report's
     ``sampled_ids`` are the mixed clients, and ``mean_feedback`` averages
@@ -364,8 +359,6 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     finite = np.isfinite(feedback)
     if not finite.any():
         raise DivergenceError(f"every sampled client diverged in round {t}", round_index=t)
-    shuffled = _shuffled(sizes, state.epochs, state.batch_size)
-    entropy = iter(_client_entropy(state.master_seed, t, sampled[shuffled]))
     deltas, failed = client_update(
         state.params,
         state.pool.subset(rows),
@@ -376,10 +369,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
         lr=_effective_lr(state, t),
         prox_mu=state.prox_mu,
         weight_decay=state.weight_decay,
-        rngs=[
-            np.random.default_rng(np.random.SeedSequence(next(entropy))) if shuffles else None
-            for shuffles in shuffled
-        ],
+        entropy=_client_entropy(state.master_seed, t, sampled),
     )
     mixed = finite & ~failed
     for client_id in sampled[~mixed]:
@@ -390,7 +380,12 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
 
     # The observed set is the sampled one, at a known propensity.
     responses = np.full(sampled.size, state.bounds.c2)
-    responses[finite] = transform_losses(feedback[finite], state.cdf, state.bounds)
+    # All-zero losses leave the ratios undefined; such a round is scored as
+    # its limit of equal losses, every ratio 1.
+    losses = feedback[finite]
+    responses[finite] = transform_losses(
+        losses if losses.any() else np.ones(losses.size), state.cdf, state.bounds
+    )
 
     observed = np.zeros(k, dtype=bool)
     observed[sampled] = True

@@ -393,13 +393,3 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """Small random initialization; symmetric zero init would stall the MLP."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     return 0.01 * rng.standard_normal(spec.param_length)
-
-
-def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
-    """Yield index arrays covering a shuffled epoch in batches."""
-    if batch_size < 1:
-        raise DomainError("batch size must be >= 1")
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-

@@ -1,4 +1,5 @@
-"""Acceptance suite: ten numbered end-to-end checks with pinned tolerances.
+"""Acceptance suite: ten numbered end-to-end checks with pinned tolerances,
+and a guard on the doubly-robust path.
 
 Each test prints one summary line with the measured quantities; run with
 `pytest -s tests/test_acceptance.py` to see the lines inline.  A failed
@@ -352,6 +353,50 @@ def test_criterion_08_fairness_direction():
         f"worst-10% margin {margin:+.4f} (directional), "
         f"average change {-avg_drop:+.4f} within 2 points",
         elapsed,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Guard on the doubly-robust path, which criteria 8 and 9 never take at C=1:
+# at C=0.05 AAggFFD's propensity-corrected estimate lifts the worst decile
+# over the same runs with the propensity set to 1 (mean imputation), keeps
+# the average, and moves the decision further from uniform.  K=200,
+# CrossDevice bounds, Dirichlet 0.1, T=200, seeds 0-19.
+# ---------------------------------------------------------------------------
+
+def sampled_device_run(seed: int, propensity_corrected: bool):
+    cfg = ExperimentConfig(
+        K=200, T=200, method="AAggFFD", C=0.05, bounds_mode="CrossDevice",
+        partition="Dirichlet", alpha=0.1, num_samples=4000, seeds=[seed],
+    )
+    state = build_state(cfg, seed=seed)
+    if not propensity_corrected:
+        state.propensity = 1.0
+    for t in range(cfg.T):
+        last = run_round(state, t)
+    return last.summary, float(state.decision.max()) * cfg.K
+
+
+def test_doubly_robust_estimate_lifts_the_worst_decile():
+    start = time.perf_counter()
+    worst10, average, max_weight = [], [], {True: [], False: []}
+    for seed in range(20):
+        dr, dr_max = sampled_device_run(seed, True)
+        imputed, imputed_max = sampled_device_run(seed, False)
+        worst10.append(dr.worst10 - imputed.worst10)
+        average.append(dr.average - imputed.average)
+        max_weight[True].append(dr_max)
+        max_weight[False].append(imputed_max)
+    margin, avg_change = float(np.mean(worst10)), float(np.mean(average))
+    elapsed = time.perf_counter() - start
+    assert margin > 0.0
+    assert avg_change >= -0.02
+    assert np.mean(max_weight[True]) > np.mean(max_weight[False])
+    print(
+        f"doubly-robust guard PASS  worst-10% margin {margin:+.4f}, "
+        f"average change {avg_change:+.4f}, max weight x K "
+        f"{np.mean(max_weight[True]):.2f} against {np.mean(max_weight[False]):.2f}  "
+        f"({elapsed:.2f}s)"
     )
 
 

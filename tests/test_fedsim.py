@@ -46,7 +46,7 @@ from fairagg.decision import (
     linearized_grad,
     lipschitz_constants,
 )
-from fairagg.modeldata import Dataset, ModelKind, ModelSpec, accuracy, epoch_batches, forward_logits, group_loss, init_params, loss_and_grad, make_synthetic, partition, PartitionScheme, PartitionSpec
+from fairagg.modeldata import Dataset, ModelKind, ModelSpec, accuracy, forward_logits, group_loss, init_params, loss_and_grad, make_synthetic, partition, PartitionScheme, PartitionSpec
 from fairagg.response import (
     CdfFamily,
     CdfKind,
@@ -198,10 +198,11 @@ def alone_accuracy(spec, params, shard):
     return accuracy(logits, shard.labels, np.array([len(shard)]))[0]
 
 
-def update_one(params, data, spec, *, rng, **kwargs):
-    """client_update on a single client: its feedback, delta and diverged flag."""
+def update_one(params, data, spec, *, seed, **kwargs):
+    """client_update on a single client, on the stream of ``default_rng(seed)``:
+    its feedback, delta and diverged flag."""
     sizes = np.array([len(data)])
-    [delta], [diverged] = client_update(params, data, sizes, spec, rngs=[rng], **kwargs)
+    [delta], [diverged] = client_update(params, data, sizes, spec, entropy=[[seed]], **kwargs)
     [feedback] = feedback_of(params, data, sizes, spec)
     return feedback, delta, diverged
 
@@ -210,7 +211,7 @@ def test_zero_epochs_leave_parameters_untouched():
     data = make_synthetic(30, 2, 2, seed=1)
     feedback, delta, _ = update_one(
         np.zeros(3), data, BINARY, epochs=0, batch_size=10, lr=0.5,
-        prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
+        prox_mu=0.0, weight_decay=0.0, seed=0,
     )
     np.testing.assert_array_equal(delta, np.zeros(3))
     assert feedback == pytest.approx(math.log(2.0))
@@ -222,7 +223,7 @@ def test_single_sample_one_step_analytic_delta():
     data = Dataset(np.array([[2.0, -1.0]]), np.array([1], dtype=np.int64))
     feedback, delta, _ = update_one(
         np.zeros(3), data, BINARY, epochs=1, batch_size=1, lr=0.5,
-        prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
+        prox_mu=0.0, weight_decay=0.0, seed=0,
     )
     np.testing.assert_allclose(delta, [-0.5, 0.25, -0.25])
     assert feedback == pytest.approx(math.log(2.0))
@@ -243,10 +244,10 @@ def test_prox_pull_is_inactive_on_the_first_step():
     data = make_synthetic(25, 2, 2, seed=3)
     kwargs = dict(epochs=1, batch_size=25, lr=0.3, weight_decay=0.0)
     _, plain, _ = update_one(
-        np.zeros(3), data, BINARY, prox_mu=0.0, rng=np.random.default_rng(1), **kwargs
+        np.zeros(3), data, BINARY, prox_mu=0.0, seed=1, **kwargs
     )
     _, prox, _ = update_one(
-        np.zeros(3), data, BINARY, prox_mu=5.0, rng=np.random.default_rng(1), **kwargs
+        np.zeros(3), data, BINARY, prox_mu=5.0, seed=1, **kwargs
     )
     np.testing.assert_allclose(prox, plain)
 
@@ -256,10 +257,10 @@ def test_prox_shrinks_multi_step_drift():
     data = make_synthetic(50, 2, 2, seed=4)
     kwargs = dict(epochs=5, batch_size=10, lr=0.3, weight_decay=0.0)
     _, plain, _ = update_one(
-        np.zeros(3), data, BINARY, prox_mu=0.0, rng=np.random.default_rng(1), **kwargs
+        np.zeros(3), data, BINARY, prox_mu=0.0, seed=1, **kwargs
     )
     _, prox, _ = update_one(
-        np.zeros(3), data, BINARY, prox_mu=1.0, rng=np.random.default_rng(1), **kwargs
+        np.zeros(3), data, BINARY, prox_mu=1.0, seed=1, **kwargs
     )
     assert np.linalg.norm(prox) < np.linalg.norm(plain)
 
@@ -269,10 +270,10 @@ def test_weight_decay_adds_ridge_pull():
     received = np.array([1.0, -2.0, 0.5])
     kwargs = dict(epochs=1, batch_size=25, lr=0.3, prox_mu=0.0)
     _, plain, _ = update_one(
-        received, data, BINARY, weight_decay=0.0, rng=np.random.default_rng(1), **kwargs
+        received, data, BINARY, weight_decay=0.0, seed=1, **kwargs
     )
     _, decayed, _ = update_one(
-        received, data, BINARY, weight_decay=0.1, rng=np.random.default_rng(1), **kwargs
+        received, data, BINARY, weight_decay=0.1, seed=1, **kwargs
     )
     np.testing.assert_allclose(decayed - plain, 0.3 * 0.1 * received, atol=1e-12)
 
@@ -284,7 +285,7 @@ def test_training_divergence_is_flagged():
     data = Dataset(features, np.array([0, 1, 2, 0], dtype=np.int64))
     _, _, diverged = update_one(
         np.zeros(TRI.param_length), data, TRI, epochs=2, batch_size=4, lr=10.0,
-        prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
+        prox_mu=0.0, weight_decay=0.0, seed=0,
     )
     assert diverged
 
@@ -295,7 +296,7 @@ def test_parameter_overflow_is_flagged_even_with_finite_loss():
     data = Dataset(np.array([[1e160, 0.0]]), np.array([1], dtype=np.int64))
     _, _, diverged = update_one(
         np.zeros(3), data, BINARY, epochs=2, batch_size=1, lr=1e160,
-        prox_mu=0.0, weight_decay=0.0, rng=np.random.default_rng(0),
+        prox_mu=0.0, weight_decay=0.0, seed=0,
     )
     assert diverged
 
@@ -361,7 +362,7 @@ def test_empty_shard_rejected():
     with pytest.raises(InvalidDimensionError):
         client_update(
             np.zeros(3), empty, np.array([0]), BINARY, epochs=1, batch_size=1, lr=0.1,
-            prox_mu=0.0, weight_decay=0.0, rngs=[np.random.default_rng(0)],
+            prox_mu=0.0, weight_decay=0.0, entropy=[[0]],
         )
 
 
@@ -371,30 +372,57 @@ def test_sizes_must_cover_the_rows():
     for sizes in ([10, 10], [10, 25], [30, 0], []):
         with pytest.raises(InvalidDimensionError):
             client_update(np.zeros(3), data, np.array(sizes, dtype=int), BINARY,
-                          rngs=[], **kwargs)
+                          entropy=[], **kwargs)
 
 
-def test_every_client_needs_a_generator_entry():
+def test_every_client_needs_an_entropy_row():
     data = make_synthetic(30, 2, 2, seed=1)
     kwargs = dict(epochs=1, batch_size=10, lr=0.1, prox_mu=0.0, weight_decay=0.0)
-    with pytest.raises(InvalidDimensionError, match="2 generators for 3 clients"):
+    with pytest.raises(InvalidDimensionError, match="2 entropy rows for 3 clients"):
         client_update(np.zeros(3), data, np.array([10, 10, 10]), BINARY,
-                      rngs=[np.random.default_rng(0), np.random.default_rng(1)], **kwargs)
+                      entropy=[[0], [1]], **kwargs)
 
 
-def test_a_client_that_shuffles_needs_a_generator():
+def test_zero_epochs_shuffle_no_client():
     data = make_synthetic(30, 2, 2, seed=1)
-    sizes = np.array([5, 15, 10])
-    kwargs = dict(batch_size=10, lr=0.1, prox_mu=0.0, weight_decay=0.0)
-    # Client 1 has more rows than one minibatch.
-    with pytest.raises(InvalidDimensionError, match="no generator"):
-        client_update(np.zeros(3), data, sizes, BINARY, epochs=1,
-                      rngs=[None, None, None], **kwargs)
-    # With no epoch to train, no client shuffles.
-    deltas, diverged = client_update(np.zeros(3), data, sizes, BINARY, epochs=0,
-                                     rngs=[None, None, None], **kwargs)
+    # Client 1 has more rows than one minibatch, but no epoch to train.
+    deltas, diverged = client_update(
+        np.zeros(3), data, np.array([5, 15, 10]), BINARY, epochs=0, batch_size=10, lr=0.1,
+        prox_mu=0.0, weight_decay=0.0, entropy=[[0], [1], [2]],
+    )
     np.testing.assert_array_equal(deltas, np.zeros((3, 3)))
     assert not diverged.any()
+
+
+def trained_batches(monkeypatch):
+    """Record the ``(features, sizes)`` of every loss_and_grad call
+    client_update makes."""
+    seen = []
+    real = fedsim.loss_and_grad
+
+    def recording(spec, params, batch, sizes):
+        seen.append((batch.features.copy(), sizes.tolist()))
+        return real(spec, params, batch, sizes)
+
+    monkeypatch.setattr(fedsim, "loss_and_grad", recording)
+    return seen
+
+
+def test_a_shuffling_client_walks_every_row_once_per_epoch(monkeypatch):
+    # Row r of the one client carries feature r, so each minibatch names its rows.
+    data = Dataset(np.arange(10.0)[:, None], np.zeros(10, dtype=np.int64))
+    spec = ModelSpec(ModelKind.LOGISTIC, input_dim=1, num_classes=2)
+    kwargs = dict(lr=0.0, prox_mu=0.0, weight_decay=0.0, entropy=[[31]])
+    seen = trained_batches(monkeypatch)
+    client_update(np.zeros(2), data, np.array([10]), spec, epochs=2, batch_size=3, **kwargs)
+    assert [sizes for _, sizes in seen] == [[3], [3], [3], [1]] * 2
+    epochs = [np.concatenate([f[:, 0] for f, _ in seen[e:e + 4]]) for e in (0, 4)]
+    for order in epochs:
+        assert sorted(order.tolist()) == list(range(10))
+    # Each epoch draws a fresh permutation.
+    assert epochs[0].tolist() != epochs[1].tolist()
+    with pytest.raises(DomainError):
+        client_update(np.zeros(2), data, np.array([10]), spec, epochs=1, batch_size=0, **kwargs)
 
 
 @pytest.mark.parametrize("epochs", [1, 3])
@@ -402,31 +430,40 @@ def test_a_one_minibatch_client_draws_nothing_from_its_generator(epochs):
     data = make_synthetic(12, 2, 2, seed=6)
     kwargs = dict(epochs=epochs, lr=0.3, prox_mu=0.1, weight_decay=0.01)
     for batch_size in (12, 50):
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state
+        # Two different streams: a client that walks its rows in pool order
+        # trains the same either way.
         [delta], _ = client_update(
-            np.zeros(3), data, np.array([12]), BINARY, batch_size=batch_size, rngs=[rng], **kwargs
+            np.zeros(3), data, np.array([12]), BINARY, batch_size=batch_size, entropy=[[3]],
+            **kwargs
         )
-        assert rng.bit_generator.state == before
-        [unseeded], _ = client_update(
-            np.zeros(3), data, np.array([12]), BINARY, batch_size=batch_size, rngs=[None], **kwargs
+        [other], _ = client_update(
+            np.zeros(3), data, np.array([12]), BINARY, batch_size=batch_size, entropy=[[4, 1]],
+            **kwargs
         )
         assert np.any(delta != 0.0)
-        assert delta.tobytes() == unseeded.tobytes()
+        assert delta.tobytes() == other.tobytes()
 
 
 def given_generators(monkeypatch):
-    """Record, for every client_update call run_round makes, its ``sizes``
-    and the state of each generator it was given (None for no generator)."""
+    """Record, for every client_update call run_round makes, its ``sizes``,
+    the entropy rows it was given, and how many generators it built."""
     seen = []
     real = fedsim.client_update
+    built = []
+    real_rng = np.random.default_rng
 
-    def recording(params, data, sizes, *args, rngs, **kwargs):
-        states = [None if rng is None else rng.bit_generator.state for rng in rngs]
-        seen.append((sizes.tolist(), states))
-        return real(params, data, sizes, *args, rngs=rngs, **kwargs)
+    def counting(*args, **kwargs):
+        built.append(None)
+        return real_rng(*args, **kwargs)
+
+    def recording(params, data, sizes, *args, entropy, **kwargs):
+        built.clear()
+        result = real(params, data, sizes, *args, entropy=entropy, **kwargs)
+        seen.append((sizes.tolist(), [np.asarray(row).copy() for row in entropy], len(built)))
+        return result
 
     monkeypatch.setattr(fedsim, "client_update", recording)
+    monkeypatch.setattr(np.random, "default_rng", counting)
     return seen
 
 
@@ -444,16 +481,15 @@ def test_round_gives_generators_only_to_clients_that_shuffle(monkeypatch, epochs
     reports = [run_round(state, t) for t in range(3)]
     assert len(seen) == 3
     both_kinds = False
-    for t, (report, (trained, states)) in enumerate(zip(reports, seen)):
+    for t, (report, (trained, rows, built)) in enumerate(zip(reports, seen)):
         assert trained == sizes[report.sampled_ids].tolist()
         shuffles = [size > batch_size and epochs > 0 for size in trained]
         both_kinds |= len(set(shuffles)) == 2
-        for client, shuffled, given in zip(report.sampled_ids, shuffles, states):
-            if not shuffled:
-                assert given is None
-            else:
-                stream = np.random.SeedSequence([4, fedsim._STREAM_CLIENT, t, client])
-                assert given == np.random.default_rng(stream).bit_generator.state
+        # Exactly the clients that shuffle build a generator.
+        assert built == sum(shuffles)
+        for client, row in zip(report.sampled_ids, rows):
+            stream = np.random.SeedSequence([4, fedsim._STREAM_CLIENT, t, client])
+            np.testing.assert_array_equal(np.random.SeedSequence(row).pool, stream.pool)
     # Both kinds of client are sampled whenever there is an epoch to train.
     assert both_kinds == (epochs > 0)
 
@@ -468,8 +504,11 @@ def per_client_update(params, data, spec, *, epochs, batch_size, lr, prox_mu, we
             return None
         local = received.copy()
         for _ in range(epochs):
-            for batch_idx in epoch_batches(len(data), batch_size, rng):
-                loss, grad = alone_loss_and_grad(spec, local, data.subset(batch_idx))
+            order = rng.permutation(len(data))
+            for start in range(0, len(data), batch_size):
+                loss, grad = alone_loss_and_grad(
+                    spec, local, data.subset(order[start:start + batch_size])
+                )
                 if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
                     return None
                 if prox_mu > 0.0:
@@ -498,11 +537,14 @@ def stacked_and_reference(params, shards, spec, seed, **kwargs):
     pool, sizes = pool_of(shards)
     deltas, diverged = client_update(
         params, pool, sizes, spec,
-        rngs=[np.random.default_rng([seed, i]) for i in range(len(shards))], **kwargs,
+        entropy=[[seed, i] for i in range(len(shards))], **kwargs,
     )
     stacked = feedback_of(params, pool, sizes, spec), deltas, diverged
     reference = [
-        per_client_update(params, shard, spec, rng=np.random.default_rng([seed, i]), **kwargs)
+        per_client_update(
+            params, shard, spec, rng=np.random.default_rng(np.random.SeedSequence([seed, i])),
+            **kwargs,
+        )
         for i, shard in enumerate(shards)
     ]
     return stacked, reference
@@ -548,12 +590,12 @@ def test_one_diverging_client_leaves_the_others_untouched():
     assert reference[1] is None
     assert diverged.tolist() == [False, True, False, False]
 
-    # The same clients without the bad one, with the same generators.
+    # The same clients without the bad one, on the same streams.
     kept = [0, 2, 3]
     alone_pool, alone_sizes = pool_of([shards[i] for i in kept])
     alone_deltas, alone_diverged = client_update(
         params, alone_pool, alone_sizes, TRI,
-        rngs=[np.random.default_rng([5, i]) for i in kept], **kwargs,
+        entropy=[[5, i] for i in kept], **kwargs,
     )
     alone_feedback = feedback_of(params, alone_pool, alone_sizes, TRI)
     assert not alone_diverged.any()
@@ -848,8 +890,8 @@ def old_dispatch_round(state, t, ons, ftrl):
     """One round with the per-method dispatch the simulator had before the
     optimizers shared ``step``: each kind named, each step called directly.
     Feedback comes from a forward pass of its own over the sampled clients'
-    rows on the received model, each client's generator from the list form
-    of its seed sequence, and the summary from one accuracy call per client.
+    rows on the received model, each client's stream from the list form of
+    its seed sequence, and the summary from one accuracy call per client.
     Every sampled client trains and is observed; mixing leaves out the ones
     with non-finite feedback or a diverged delta.
 
@@ -869,12 +911,7 @@ def old_dispatch_round(state, t, ons, ftrl):
         state.params, *pool_of([shards[i] for i in sampled]), state.model_spec,
         epochs=state.epochs, batch_size=state.batch_size, lr=_effective_lr(state, t),
         prox_mu=state.prox_mu, weight_decay=state.weight_decay,
-        rngs=[
-            np.random.default_rng(
-                np.random.SeedSequence([state.master_seed, fedsim._STREAM_CLIENT, t, i])
-            )
-            for i in sampled
-        ],
+        entropy=[[state.master_seed, fedsim._STREAM_CLIENT, t, i] for i in sampled],
     )
     mixed = finite & ~failed
     survivors = [i for i, keep in zip(sampled, mixed) if keep]
@@ -1076,6 +1113,22 @@ def test_a_client_diverging_in_training_is_still_observed(monkeypatch, caplog):
             ]
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_a_round_of_all_zero_feedback_scores_every_client_at_ratio_one(monkeypatch, c):
+    state = make_state(
+        MethodKind.AAGGFF_D, shards_for(6), seed=3, sampling_c=c,
+        bounds=ResponseBounds.cross_silo(6),
+    )
+    monkeypatch.setattr(fedsim, "group_loss", lambda logits, labels, sizes: np.zeros(sizes.size))
+    estimated = spy_dr_response(monkeypatch)
+    report = run_round(state, 0)
+    [(values, observed)] = estimated
+    at_one = transform_losses(np.ones(1), state.cdf, state.bounds)[0]
+    assert observed.sum() == len(report.sampled_ids) > 0
+    np.testing.assert_array_equal(values[observed], at_one)
+    assert report.mean_feedback == 0.0
 
 
 def spy_ftrl_steps(monkeypatch):

@@ -22,7 +22,6 @@ from fairagg.modeldata import (
     PartitionScheme,
     PartitionSpec,
     accuracy,
-    epoch_batches,
     forward_logits,
     group_loss,
     init_params,
@@ -596,16 +595,3 @@ def test_model_spec_validation():
     with pytest.raises(DomainError):
         ModelSpec(ModelKind.MLP, input_dim=2, num_classes=2, hidden=0)
     assert ModelSpec(ModelKind.MLP, 3, 4, hidden=7).param_length == 7 * 4 + 4 * 8
-
-
-# ---------------------------------------------------------------------------
-# batching
-# ---------------------------------------------------------------------------
-
-def test_epoch_batches_cover_every_index_once():
-    rng = np.random.default_rng(31)
-    batches = list(epoch_batches(10, 3, rng))
-    assert [len(b) for b in batches] == [3, 3, 3, 1]
-    assert sorted(np.concatenate(batches).tolist()) == list(range(10))
-    with pytest.raises(DomainError):
-        list(epoch_batches(5, 0, rng))
