@@ -322,21 +322,25 @@ def write_results(
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
-    """Run every configured seed in turn and persist results; 0 on success.
+    """Run every configured seed in turn and persist the ones that complete.
+    A seed that raises a FairaggError prints ``error: seed S: message`` and
+    writes no rounds file or summary row, and the call returns 1; else 0.
     ``threads`` is accepted for compatibility and never affects results."""
-    try:
-        reports_by_seed: dict[int, list[RoundReport]] = {}
-        summaries: dict[int, PerformanceSummary] = {}
-        for seed in cfg.seeds:
+    reports_by_seed: dict[int, list[RoundReport]] = {}
+    for seed in cfg.seeds:
+        try:
             state = build_state(cfg, seed)
-            reports = [run_round(state, t) for t in range(cfg.T)]
-            reports_by_seed[seed] = reports
-            summaries[seed] = reports[-1].summary
-        write_results(reports_by_seed, summaries, cfg.output_dir)
+            reports_by_seed[seed] = [run_round(state, t) for t in range(cfg.T)]
+        except FairaggError as exc:
+            print(f"error: seed {seed}: {exc}", file=sys.stderr)
+    summaries = {seed: reports[-1].summary for seed, reports in reports_by_seed.items()}
+    try:
+        if summaries:
+            write_results(reports_by_seed, summaries, cfg.output_dir)
     except FairaggError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return 0 if len(summaries) == len(cfg.seeds) else 1
 
 
 # ---------------------------------------------------------------------------

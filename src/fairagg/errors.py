@@ -22,7 +22,7 @@ class DomainError(FairaggError, ValueError):
 
 
 class DegenerateInputError(FairaggError, ValueError):
-    """Input is structurally valid but degenerate (e.g. all-zero losses)."""
+    """Input is structurally valid but degenerate (e.g. no observed entries)."""
 
 
 class NumericalFailureError(FairaggError, ArithmeticError):

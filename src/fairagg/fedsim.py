@@ -23,10 +23,10 @@ rows every epoch.  A client whose rows fit one minibatch takes one full-batch
 step per epoch, which no order of its rows changes, so it walks them in pool
 order and builds no generator.
 ``client_update`` trains every sampled client and returns deltas ``(S, P)``
-and a diverged mask ``(S,)``.  The response estimate observes every sampled
-client, at the worst response ``c2`` where its feedback is non-finite.  Only
-mixing drops a client, with a warning, for non-finite feedback or a diverged
-delta; the round fails when no client is left to mix.
+and a diverged mask ``(S,)``.  Only mixing drops a client, with a warning,
+for non-finite feedback or a diverged delta; the round fails when no client
+is left to mix.  The response estimate observes every sampled client, a
+dropped one at the worst response ``c2``.
 
 Client data is one pooled dataset, each client's rows together in ascending
 client id, plus each client's row count; a round gathers the sampled clients'
@@ -331,8 +331,8 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     If ``state.params`` differs in value from the parameters those logits
     were computed for (in round 0, or after a caller replaced or wrote into
     them), the pool is evaluated first.  If no feedback is finite, the round
-    raises DivergenceError before any training; if all finite feedback is
-    zero, every finite one takes the CDF's response at ratio 1.
+    raises DivergenceError before any training.  A client left out of mixing
+    is observed at ``c2``; only the mixed clients' feedback is transformed.
 
     Every sampled client trains, on the stream ``SeedSequence([seed, 4, t,
     client])``, which ``client_update`` seeds only for a client that shuffles.
@@ -378,14 +378,10 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     if survivors.size == 0:
         raise DivergenceError(f"every sampled client diverged in round {t}", round_index=t)
 
-    # The observed set is the sampled one, at a known propensity.
+    # The observed set is the sampled one, at a known propensity; the mixed
+    # clients' feedback alone sets the scale, and the rest take the worst.
     responses = np.full(sampled.size, state.bounds.c2)
-    # All-zero losses leave the ratios undefined; such a round is scored as
-    # its limit of equal losses, every ratio 1.
-    losses = feedback[finite]
-    responses[finite] = transform_losses(
-        losses if losses.any() else np.ones(losses.size), state.cdf, state.bounds
-    )
+    responses[mixed] = transform_losses(feedback[mixed], state.cdf, state.bounds)
 
     observed = np.zeros(k, dtype=bool)
     observed[sampled] = True

@@ -1,9 +1,9 @@
 """CDF-driven mapping from raw local losses to bounded response vectors.
 
-Each client's loss is divided by the round's mean loss (centering the ratios
-on 1) and pushed through a cumulative distribution function, then affinely
-squeezed into [c1, c2].  Six CDF families are supported with fixed default
-parameters; parameter estimation is deliberately out of scope.
+Each loss of the clients a round mixes is divided by their mean (centering
+the ratios on 1), pushed through a cumulative distribution function and
+affinely squeezed into [c1, c2].  Six CDF families are supported with fixed
+default parameters; parameter estimation is deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, InvalidDimensionError
+from .errors import DomainError, InvalidDimensionError
 
 
 class CdfFamily(enum.Enum):
@@ -125,9 +125,10 @@ def transform_losses(
 ) -> np.ndarray:
     """Map the round's raw losses into responses in [c1, c2].
 
-    Each loss is divided by the mean over this round's available clients, so
-    the CDF sees ratios centered on 1; the CDF value is then rescaled onto
-    the response interval.  Order-preserving in the inputs.
+    Each loss is divided by the mean of ``losses`` (the round's mixed
+    clients'), so the CDF sees ratios centered on 1; all-zero losses score
+    as their limit of equal losses, every ratio 1.  The CDF value is then
+    rescaled onto the response interval.  Order-preserving in the inputs.
     """
     losses = np.asarray(losses, dtype=float)
     if losses.ndim != 1 or losses.size < 1:
@@ -135,9 +136,7 @@ def transform_losses(
     if np.any(losses < 0.0):
         raise DomainError("losses must be nonnegative")
     mean = float(losses.mean())
-    if mean <= 0.0:
-        raise DegenerateInputError("all-zero losses leave the scaling mean undefined")
-    ratios = losses / mean
+    ratios = losses / mean if mean > 0.0 else np.ones(losses.size)
     return bounds.c1 + (bounds.c2 - bounds.c1) * _cdf_values(kind, ratios)
 
 

@@ -250,6 +250,25 @@ def test_run_experiment_one_file_per_seed(tmp_path):
     assert [row.split(",")[0] for row in summary[1:]] == ["0", "7", "mean", "std"]
 
 
+def test_a_failing_seed_leaves_the_other_seeds_written(tmp_path, capsys):
+    # At this learning rate seeds 1 and 2 end in a DivergenceError (in rounds
+    # 5 and 1) while seed 0 completes.
+    drop = dict(K=8, T=6, C=0.5, method="AAggFFD", lr=1e307, num_classes=3, B=10,
+                partition="Dirichlet", alpha=0.1, num_samples=400)
+    assert run_experiment(small_config(tmp_path, seeds=[0, 1, 2], **drop)) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == [
+        "error: seed 1: every sampled client diverged in round 5",
+        "error: seed 2: every sampled client diverged in round 1",
+    ]
+    out = tmp_path / "out"
+    assert sorted(path.name for path in out.iterdir()) == ["rounds_seed0.csv", "summary.csv"]
+    alone = small_config(tmp_path, seeds=[0], output_dir=str(tmp_path / "alone"), **drop)
+    assert run_experiment(alone) == 0
+    for name in ("rounds_seed0.csv", "summary.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg_a = small_config(tmp_path, method="AAggFFD", C=0.5, output_dir=str(tmp_path / "a"))
     cfg_b = small_config(tmp_path, method="AAggFFD", C=0.5, output_dir=str(tmp_path / "b"))

@@ -893,7 +893,8 @@ def old_dispatch_round(state, t, ons, ftrl):
     rows on the received model, each client's stream from the list form of
     its seed sequence, and the summary from one accuracy call per client.
     Every sampled client trains and is observed; mixing leaves out the ones
-    with non-finite feedback or a diverged delta.
+    with non-finite feedback or a diverged delta, which are observed at the
+    worst response while the mixed ones' feedback alone is transformed.
 
     Returns (sampled, report, ons, ftrl).
     """
@@ -916,9 +917,9 @@ def old_dispatch_round(state, t, ons, ftrl):
     mixed = finite & ~failed
     survivors = [i for i, keep in zip(sampled, mixed) if keep]
     feedbacks = feedback[mixed]
-    # Every sampled client is observed, a non-finite feedback at the worst response.
+    # Every sampled client is observed, an unmixed one at the worst response.
     responses = np.full(len(sampled), state.bounds.c2)
-    responses[finite] = transform_losses(feedback[finite], state.cdf, state.bounds)
+    responses[mixed] = transform_losses(feedbacks, state.cdf, state.bounds)
     observed = np.isin(np.arange(k), sampled)
     scattered = np.zeros(k)
     scattered[sampled] = responses
@@ -1103,16 +1104,42 @@ def test_a_client_diverging_in_training_is_still_observed(monkeypatch, caplog):
             report = run_round(state, t)
         values, observed = estimated[-1]
         assert np.flatnonzero(observed).tolist() == sampled
-        expected = transform_losses(feedback[sampled], state.cdf, state.bounds)
-        np.testing.assert_array_equal(values[sampled], expected)
+        # Only client 2 is left out of mixing; the others set the scale.
+        others = [i for i in sampled if i != 2]
+        assert report.sampled_ids == others
+        expected = transform_losses(feedback[others], state.cdf, state.bounds)
+        np.testing.assert_array_equal(values[others], expected)
         if 2 in sampled:
             assert np.isfinite(feedback[2])
             assert 2 not in report.sampled_ids
+            assert values[2] == state.bounds.c2
             assert [r.getMessage() for r in caplog.records] == [
                 f"dropping diverged client 2 in round {t}"
             ]
             checked += 1
     assert checked > 0
+
+
+def test_a_diverging_client_does_not_flatten_the_others_responses(monkeypatch):
+    # Client 2's feedback is finite but near 1e198 once the model has moved;
+    # were it in the scaling mean, every other ratio would be about 1e-198
+    # and every healthy client would get the same response.  A random start
+    # gives the healthy clients different losses from round 0 on.
+    state = make_state(
+        MethodKind.AAGGFF_D, overflowing_clients(6, bad=2), seed=2, model_spec=TRI,
+        sampling_c=1.0, bounds=ResponseBounds.cross_silo(6), params=init_params(TRI, 2),
+    )
+    estimated = spy_dr_response(monkeypatch)
+    healthy = [0, 1, 3, 4, 5]
+    for t in range(4):
+        feedback = feedback_of(state.params, state.pool, state.sizes, TRI)
+        report = run_round(state, t)
+        assert report.sampled_ids == healthy
+        values, _ = estimated[-1]
+        assert len(set(values[healthy])) > 1
+        expected = transform_losses(feedback[healthy], state.cdf, state.bounds)
+        np.testing.assert_array_equal(values[healthy], expected)
+        assert values[2] == state.bounds.c2
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0])
@@ -1184,7 +1211,11 @@ def test_aaggff_d_gradients_stay_within_the_bound_ftrl_was_sized_with(k, c, bad,
     )
     with pytest.MonkeyPatch.context() as mp:
         fed = spy_ftrl_steps(mp)
+        estimated = spy_dr_response(mp)
         for t in range(4):
-            run_round(state, t)
+            sampled = sampled_in(state, t)
+            report = run_round(state, t)
+            unmixed = sorted(set(sampled) - set(report.sampled_ids))
+            assert np.all(estimated[-1][0][unmixed] == state.bounds.c2)
     assert len(fed) == 4
     assert all(np.max(np.abs(gradient)) <= bound for gradient, bound in fed)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairagg.errors import DegenerateInputError, DomainError
+from fairagg.errors import DomainError
 from fairagg.response import (
     CdfFamily,
     CdfKind,
@@ -91,9 +91,15 @@ def test_equal_losses_collapse_to_center():
     np.testing.assert_allclose(out, cdf_at(kind, 1.0))
 
 
-def test_all_zero_losses_are_degenerate():
-    with pytest.raises(DegenerateInputError):
-        transform_losses(np.zeros(3), CdfKind(CdfFamily.NORMAL), ResponseBounds(0.0, 1.0))
+def test_all_zero_losses_score_at_ratio_one():
+    # The limit of equal losses: every ratio is 1, as for any equal losses.
+    bounds = ResponseBounds(0.1, 0.4)
+    for family in CdfFamily:
+        for n in (1, 3):
+            np.testing.assert_array_equal(
+                transform_losses(np.zeros(n), CdfKind(family), bounds),
+                transform_losses(np.ones(n), CdfKind(family), bounds),
+            )
 
 
 def test_negative_losses_rejected():
