@@ -42,7 +42,8 @@ class NonConvergenceError(FairaggError, RuntimeError):
 
 
 class DivergenceError(FairaggError, ArithmeticError):
-    """Local training produced a non-finite loss; carries round context."""
+    """No sampled client can be mixed, raised before any training when no
+    feedback is finite; carries round context."""
 
     def __init__(self, message: str, round_index: int | None = None):
         super().__init__(message)

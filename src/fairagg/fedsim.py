@@ -239,12 +239,29 @@ def server_apply(
 
 @dataclass
 class RoundReport:
+    """What one round observed, decided and scored.
+
+    ``sampled`` holds the sampled ids ``(S,)`` ascending, and ``mixed`` marks
+    those whose deltas were mixed.  ``mean_feedback`` is the mixed clients'
+    mean feedback, the scale ``transform_losses`` divided their losses by
+    (0.0 when all are zero).  ``response`` is the completed ``(K,)`` response,
+    estimated at ``propensity``, that ``decision_loss`` and the gradient used.
+    """
+
     round: int
-    sampled_ids: list[int]
+    sampled: np.ndarray
+    mixed: np.ndarray
     mean_feedback: float
+    propensity: float
+    response: np.ndarray
     decision_loss: float
     decision: np.ndarray
     summary: PerformanceSummary
+
+    @property
+    def sampled_ids(self) -> list[int]:
+        """The mixed clients' ids, ascending."""
+        return self.sampled[self.mixed].tolist()
 
 
 @dataclass
@@ -337,9 +354,8 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     Every sampled client trains, on the stream ``SeedSequence([seed, 4, t,
     client])``, which ``client_update`` seeds only for a client that shuffles.
     AAggFFD takes the doubly-robust path exactly when ``state.propensity <
-    1``, the rule ``optimizer_init`` sizes FTRL by.  The report's
-    ``sampled_ids`` are the mixed clients, and ``mean_feedback`` averages
-    the finite feedback.
+    1``, the rule ``optimizer_init`` sizes FTRL by.  The report records who
+    was sampled and mixed, the scale, the propensity and the completed response.
     """
     k = state.k
     sampling_rng = np.random.default_rng(
@@ -392,8 +408,8 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
 
     # AAggFFD corrects a partial round by its propensity; every other round
     # is completed at propensity 1, which imputes the observed mean.
-    doubly_robust = state.method.kind is MethodKind.AAGGFF_D and state.propensity < 1.0
-    r_for_loss = dr_response(scattered, observed, state.propensity if doubly_robust else 1.0)
+    propensity = state.propensity if state.method.kind is MethodKind.AAGGFF_D else 1.0
+    r_for_loss = dr_response(scattered, observed, propensity)
     round_loss = decision_loss(prev_decision, r_for_loss)
 
     if state.optimizer is None:
@@ -402,7 +418,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
             state.method, state.sizes[survivors], feedback[mixed]
         )
     else:
-        if doubly_robust:
+        if propensity < 1.0:
             gradient = linearized_grad(r_for_loss, prev_decision, float(responses.mean()))
         else:
             gradient = decision_grad(prev_decision, r_for_loss)
@@ -423,8 +439,11 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     client_accuracy = accuracy(state.logits, state.pool.labels, state.sizes)
     return RoundReport(
         round=t,
-        sampled_ids=survivors.tolist(),
-        mean_feedback=float(feedback[finite].mean()),
+        sampled=sampled,
+        mixed=mixed,
+        mean_feedback=float(feedback[mixed].mean()),
+        propensity=propensity,
+        response=r_for_loss,
         decision_loss=round_loss,
         decision=new_decision,
         summary=performance_summary(client_accuracy),

@@ -151,7 +151,7 @@ def test_sampling_is_uniform_by_monte_carlo():
     np.testing.assert_allclose(hits / draws, 0.5, atol=0.01)
 
 
-def test_propensity_is_the_sampled_fraction(monkeypatch):
+def test_propensity_is_the_sampled_fraction():
     # floor(0.5 * 7) = 3 of 7 clients are sampled, so each is included with
     # probability 3/7, not the configured 0.5.
     assert sample_size(7, 0.5) == 3
@@ -161,15 +161,7 @@ def test_propensity_is_the_sampled_fraction(monkeypatch):
     )
     assert state.propensity == 3 / 7
     assert state.optimizer.l_inf_dr == lipschitz_constants(state.bounds, 3 / 7).l_inf_dr
-    seen = []
-
-    def spy(values, observed, propensity):
-        seen.append(propensity)
-        return dr_response(values, observed, propensity)
-
-    monkeypatch.setattr(fedsim, "dr_response", spy)
-    run_round(state, 0)
-    assert seen == [3 / 7]
+    assert run_round(state, 0).propensity == 3 / 7
     # Where c*k is a whole number the propensity is c itself, bit for bit.
     assert sample_size(1000, 0.02) / 1000 == 0.02
 
@@ -338,13 +330,11 @@ def test_non_finite_feedback_client_is_dropped_from_mixing(monkeypatch):
         params=np.full(TRI.param_length, 1e200),
     )
     seen = trained_sizes(monkeypatch)
-    estimated = spy_dr_response(monkeypatch)
     report = run_round(state, 0)
     assert report.sampled_ids == [0]
     assert seen == [[6, 3]]
-    [(values, observed)] = estimated
-    assert observed.tolist() == [True, True]
-    assert values[1] == state.bounds.c2
+    assert report.sampled.tolist() == [0, 1]
+    assert report.response[1] == state.bounds.c2
 
 
 def test_non_finite_global_model_aborts_the_round_without_training(monkeypatch):
@@ -894,9 +884,10 @@ def old_dispatch_round(state, t, ons, ftrl):
     its seed sequence, and the summary from one accuracy call per client.
     Every sampled client trains and is observed; mixing leaves out the ones
     with non-finite feedback or a diverged delta, which are observed at the
-    worst response while the mixed ones' feedback alone is transformed.
+    worst response while the mixed ones' feedback alone is transformed, by
+    their mean feedback.
 
-    Returns (sampled, report, ons, ftrl).
+    Returns (report, ons, ftrl).
     """
     k = state.k
     rng = np.random.default_rng(
@@ -907,14 +898,13 @@ def old_dispatch_round(state, t, ons, ftrl):
     feedback = feedback_of(
         state.params, *pool_of([shards[i] for i in sampled]), state.model_spec
     )
-    finite = np.isfinite(feedback)
     deltas, failed = client_update(
         state.params, *pool_of([shards[i] for i in sampled]), state.model_spec,
         epochs=state.epochs, batch_size=state.batch_size, lr=_effective_lr(state, t),
         prox_mu=state.prox_mu, weight_decay=state.weight_decay,
         entropy=[[state.master_seed, fedsim._STREAM_CLIENT, t, i] for i in sampled],
     )
-    mixed = finite & ~failed
+    mixed = np.isfinite(feedback) & ~failed
     survivors = [i for i, keep in zip(sampled, mixed) if keep]
     feedbacks = feedback[mixed]
     # Every sampled client is observed, an unmixed one at the worst response.
@@ -924,8 +914,10 @@ def old_dispatch_round(state, t, ons, ftrl):
     scattered = np.zeros(k)
     scattered[sampled] = responses
     kind = state.method.kind
+    propensity = 1.0
     if kind is MethodKind.AAGGFF_D and state.propensity < 1.0:
-        r = dr_response(scattered, observed, state.propensity)
+        propensity = state.propensity
+        r = dr_response(scattered, observed, propensity)
         gradient = linearized_grad(r, state.decision, float(responses.mean()))
     else:
         r = np.where(observed, scattered, float(responses.mean()))
@@ -947,13 +939,24 @@ def old_dispatch_round(state, t, ons, ftrl):
     per_client = np.array([alone_accuracy(state.model_spec, state.params, s) for s in shards])
     report = RoundReport(
         round=t,
-        sampled_ids=survivors,
-        mean_feedback=float(feedback[finite].mean()),
+        sampled=np.array(sampled),
+        mixed=mixed,
+        mean_feedback=float(feedbacks.mean()),
+        propensity=propensity,
+        response=r,
         decision_loss=loss,
         decision=decision,
         summary=performance_summary(per_client),
     )
-    return sampled, report, ons, ftrl
+    return report, ons, ftrl
+
+
+def assert_same_observation(report, expected):
+    """Both rounds sampled, mixed, scaled and completed alike, bit for bit."""
+    for name in ("sampled", "mixed", "response"):
+        assert getattr(report, name).tobytes() == getattr(expected, name).tobytes()
+    assert report.mean_feedback == expected.mean_feedback
+    assert report.propensity == expected.propensity
 
 
 def reference_optimizers(state):
@@ -991,9 +994,10 @@ def test_one_step_interface_matches_the_per_method_dispatch(kind, c):
     dropped = 0
     for t in range(5):
         report = run_round(state, t)
-        sampled, expected, ons, ftrl = old_dispatch_round(reference, t, ons, ftrl)
+        expected, ons, ftrl = old_dispatch_round(reference, t, ons, ftrl)
         survivors = expected.sampled_ids
-        dropped += len(sampled) - len(survivors)
+        dropped += int((~expected.mixed).sum())
+        assert_same_observation(report, expected)
         assert report.sampled_ids == survivors
         assert report.decision_loss == expected.decision_loss
         np.testing.assert_array_equal(report.decision, expected.decision)
@@ -1031,9 +1035,9 @@ def test_rounds_match_a_reference_with_its_own_feedback_pass(spec, kind, k, c, e
     ons, ftrl = reference_optimizers(reference)
     for t in range(5):
         report = run_round(state, t)
-        _, expected, ons, ftrl = old_dispatch_round(reference, t, ons, ftrl)
+        expected, ons, ftrl = old_dispatch_round(reference, t, ons, ftrl)
+        assert_same_observation(report, expected)
         assert report.sampled_ids == expected.sampled_ids
-        assert abs(report.mean_feedback - expected.mean_feedback) <= 1e-12
         assert abs(report.decision_loss - expected.decision_loss) <= 1e-12
         np.testing.assert_allclose(report.decision, expected.decision, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(
@@ -1082,13 +1086,6 @@ def overflowing_clients(k, bad, seed=4):
     return pool_of(clients)
 
 
-def sampled_in(state, t):
-    rng = np.random.default_rng(
-        np.random.SeedSequence([state.master_seed, fedsim._STREAM_SAMPLING, t])
-    )
-    return sample_clients(state.k, state.sampling_c, rng)
-
-
 def test_a_client_diverging_in_training_is_still_observed(monkeypatch, caplog):
     state = make_state(
         MethodKind.AAGGFF_D, overflowing_clients(6, bad=2), seed=2, model_spec=TRI,
@@ -1097,12 +1094,12 @@ def test_a_client_diverging_in_training_is_still_observed(monkeypatch, caplog):
     estimated = spy_dr_response(monkeypatch)
     checked = 0
     for t in range(5):
-        sampled = sampled_in(state, t)
         feedback = feedback_of(state.params, state.pool, state.sizes, TRI)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="fairagg.fedsim"):
             report = run_round(state, t)
         values, observed = estimated[-1]
+        sampled = report.sampled.tolist()
         assert np.flatnonzero(observed).tolist() == sampled
         # Only client 2 is left out of mixing; the others set the scale.
         others = [i for i in sampled if i != 2]
@@ -1120,7 +1117,7 @@ def test_a_client_diverging_in_training_is_still_observed(monkeypatch, caplog):
     assert checked > 0
 
 
-def test_a_diverging_client_does_not_flatten_the_others_responses(monkeypatch):
+def test_a_diverging_client_does_not_flatten_the_others_responses():
     # Client 2's feedback is finite but near 1e198 once the model has moved;
     # were it in the scaling mean, every other ratio would be about 1e-198
     # and every healthy client would get the same response.  A random start
@@ -1129,13 +1126,14 @@ def test_a_diverging_client_does_not_flatten_the_others_responses(monkeypatch):
         MethodKind.AAGGFF_D, overflowing_clients(6, bad=2), seed=2, model_spec=TRI,
         sampling_c=1.0, bounds=ResponseBounds.cross_silo(6), params=init_params(TRI, 2),
     )
-    estimated = spy_dr_response(monkeypatch)
     healthy = [0, 1, 3, 4, 5]
     for t in range(4):
         feedback = feedback_of(state.params, state.pool, state.sizes, TRI)
         report = run_round(state, t)
         assert report.sampled_ids == healthy
-        values, _ = estimated[-1]
+        # The reported scale is the one the healthy responses were divided by.
+        assert report.mean_feedback == feedback[healthy].mean()
+        values = report.response
         assert len(set(values[healthy])) > 1
         expected = transform_losses(feedback[healthy], state.cdf, state.bounds)
         np.testing.assert_array_equal(values[healthy], expected)
@@ -1182,14 +1180,14 @@ def test_full_participation_feeds_ftrl_the_exact_gradient(monkeypatch):
     linearized = []
     monkeypatch.setattr(fedsim, "linearized_grad", lambda *args: linearized.append(args))
     fed = spy_ftrl_steps(monkeypatch)
-    estimated = spy_dr_response(monkeypatch)
     for t in range(4):
         prev = state.decision.copy()
         report = run_round(state, t)
         assert 2 not in report.sampled_ids
-        values, observed = estimated[-1]
-        assert observed.all()
-        np.testing.assert_array_equal(fed[-1][0], decision_grad(prev, values))
+        assert report.sampled.tolist() == list(range(6))
+        assert report.propensity == 1.0
+        assert report.decision_loss == decision_loss(prev, report.response)
+        np.testing.assert_array_equal(fed[-1][0], decision_grad(prev, report.response))
     assert linearized == []
     assert len(fed) == 4
 
@@ -1213,9 +1211,8 @@ def test_aaggff_d_gradients_stay_within_the_bound_ftrl_was_sized_with(k, c, bad,
         fed = spy_ftrl_steps(mp)
         estimated = spy_dr_response(mp)
         for t in range(4):
-            sampled = sampled_in(state, t)
             report = run_round(state, t)
-            unmixed = sorted(set(sampled) - set(report.sampled_ids))
+            unmixed = report.sampled[~report.mixed]
             assert np.all(estimated[-1][0][unmixed] == state.bounds.c2)
     assert len(fed) == 4
     assert all(np.max(np.abs(gradient)) <= bound for gradient, bound in fed)
