@@ -52,7 +52,9 @@ class AggregatorMethod:
 
     def __post_init__(self):
         if self.q < 0.0:
-            raise DomainError(f"q must be nonnegative, got {self.q}")
+            raise DomainError(f"'q' must be nonnegative, got {self.q}")
+        if self.tilt <= 0.0:
+            raise DomainError(f"'tilt' must be positive, got {self.tilt}")
 
 
 BASELINE_KINDS = (

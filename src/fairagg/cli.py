@@ -120,15 +120,15 @@ _REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig)
 def _fits(hint, value) -> bool:
     """Whether a JSON value fits a field type; a bool fits none, an int fits float.
 
-    A float key takes only values finite as floats: ``json`` reads ``NaN``,
-    ``Infinity`` and ``1e400`` as non-finite floats, which pass ``<= 0`` range
-    checks, and an integer past the float range overflows in float arithmetic.
+    A numeric key takes only values within the float range: ``json`` reads
+    ``NaN``, ``Infinity`` and ``1e400`` as non-finite floats, which pass ``<= 0``
+    range checks, and a longer integer overflows in float arithmetic (``1 / K``).
     """
     if isinstance(value, bool):
         return False
     args = get_args(hint)
-    if hint is float:
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and abs(value) <= sys.float_info.max
     if get_origin(hint) is list:
         return isinstance(value, list) and all(_fits(args[0], v) for v in value)
     if type(None) in args:
@@ -150,7 +150,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config document."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object of key/value pairs")
@@ -176,13 +176,17 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Reject a value no seed could run with one ConfigError, whose message
+    names the key or the library parameter that holds it.  The checks here are
+    those no type makes; each value ``_config_values`` builds checks itself.
+    Only ``num_samples`` and ``loss_ceiling`` wait for each seed's data."""
     if cfg.K < 1 or cfg.T < 1:
         raise ConfigError("config keys 'K' and 'T' must be >= 1")
     if not (0.0 < cfg.C <= 1.0):
         raise ConfigError("config key 'C' must lie in (0, 1]")
     if cfg.B < 1 or cfg.E < 0:
         raise ConfigError("config keys 'B' must be >= 1 and 'E' >= 0")
-    for key in ("lr", "server_lr", "tau"):
+    for key in ("lr", "server_lr"):
         if getattr(cfg, key) <= 0.0:
             raise ConfigError(f"config key '{key}' must be positive")
     # A decay above 1 grows the step size until the power overflows.
@@ -192,10 +196,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("config key 'decay_step' must be >= 1")
     if cfg.prox_mu < 0.0 or cfg.weight_decay < 0.0:
         raise ConfigError("config keys 'prox_mu' and 'weight_decay' must be >= 0")
-    if cfg.q < 0.0:
-        raise ConfigError("config key 'q' must be >= 0")
-    if cfg.tilt <= 0.0:
-        raise ConfigError("config key 'tilt' must be positive")
     if cfg.bounds_mode == "Explicit" and (cfg.c1 is None or cfg.c2 is None):
         raise ConfigError("bounds_mode 'Explicit' requires config keys 'c1' and 'c2'")
     # Seeds feed numpy seed sequences, which take nonnegative integers only;
@@ -204,6 +204,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             "config key 'seeds' must be a nonempty list of distinct nonnegative integers"
         )
+    try:
+        _config_values(cfg, cfg.seeds[0])
+    except FairaggError as exc:
+        raise ConfigError(f"config rejected: {exc}") from exc
 
 
 def resolve_bounds(cfg: ExperimentConfig) -> ResponseBounds:
@@ -228,37 +232,16 @@ def resolve_cdf(cfg: ExperimentConfig) -> CdfKind:
     return CdfKind(family, scale=cfg.cdf_scale, shape=shape)
 
 
-def build_state(cfg: ExperimentConfig, seed: int) -> SimulationState:
-    dataset = make_synthetic(cfg.num_samples, cfg.input_dim, cfg.num_classes, seed)
-    spec = ModelSpec(
-        kind=ModelKind(cfg.model),
-        input_dim=cfg.input_dim,
-        num_classes=cfg.num_classes,
-        hidden=cfg.hidden,
-    )
-    pool, sizes = partition(
-        dataset,
-        PartitionSpec(
-            scheme=PartitionScheme(cfg.partition),
-            k=cfg.K,
-            seed=seed,
-            alpha=cfg.alpha,
-            classes_per_client=cfg.classes_per_client,
-        ),
-    )
-    server = ServerOptimizer(
-        kind=ServerOptKind(cfg.server_opt),
-        lr=cfg.server_lr,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        tau=cfg.tau,
-    )
-    return SimulationState(
+def _config_values(cfg: ExperimentConfig, seed: int) -> tuple[PartitionSpec, dict]:
+    """The seed's partition spec and every ``SimulationState`` field the
+    config fixes without data or a model-sized array.  Each value is built by
+    the library type that holds it, which raises FairaggError on a bad one."""
+    split = PartitionSpec(scheme=PartitionScheme(cfg.partition), k=cfg.K, seed=seed,
+                          alpha=cfg.alpha, classes_per_client=cfg.classes_per_client)
+    return split, dict(
         master_seed=seed,
-        model_spec=spec,
-        pool=pool,
-        sizes=sizes,
-        params=init_params(spec, seed),
+        model_spec=ModelSpec(kind=ModelKind(cfg.model), input_dim=cfg.input_dim,
+                             num_classes=cfg.num_classes, hidden=cfg.hidden),
         method=AggregatorMethod(
             kind=MethodKind(cfg.method), q=cfg.q, tilt=cfg.tilt, loss_ceiling=cfg.loss_ceiling
         ),
@@ -272,8 +255,17 @@ def build_state(cfg: ExperimentConfig, seed: int) -> SimulationState:
         decay_step=cfg.decay_step,
         prox_mu=cfg.prox_mu,
         weight_decay=cfg.weight_decay,
-        server_opt=server,
+        server_opt=ServerOptimizer(kind=ServerOptKind(cfg.server_opt), lr=cfg.server_lr,
+                                   beta1=cfg.beta1, beta2=cfg.beta2, tau=cfg.tau),
     )
+
+
+def build_state(cfg: ExperimentConfig, seed: int) -> SimulationState:
+    split, values = _config_values(cfg, seed)
+    dataset = make_synthetic(cfg.num_samples, cfg.input_dim, cfg.num_classes, seed)
+    pool, sizes = partition(dataset, split)
+    params = init_params(values["model_spec"], seed)
+    return SimulationState(pool=pool, sizes=sizes, params=params, **values)
 
 
 def _fmt(x: float) -> str:

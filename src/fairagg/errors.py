@@ -51,4 +51,4 @@ class DivergenceError(FairaggError, ArithmeticError):
 
 
 class ConfigError(FairaggError, ValueError):
-    """A config document failed to parse or validate; message names the key."""
+    """A config failed to parse or validate; names the key or the library parameter."""

@@ -103,10 +103,12 @@ class ServerOptimizer:
     second_moment: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lr <= 0.0 or self.tau <= 0.0:
-            raise DomainError("lr and tau must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise DomainError("beta1 and beta2 must lie in [0, 1)")
+        for name, value in (("lr", self.lr), ("tau", self.tau)):
+            if value <= 0.0:
+                raise DomainError(f"'{name}' must be positive, got {value}")
+        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= value < 1.0:
+                raise DomainError(f"'{name}' must lie in [0, 1), got {value}")
 
 
 def sample_size(k: int, c: float) -> int:

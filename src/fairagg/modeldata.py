@@ -29,9 +29,10 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.input_dim < 1 or self.num_classes < 2:
-            raise DomainError("need input_dim >= 1 and num_classes >= 2")
+            raise DomainError(f"need 'input_dim' >= 1 and 'num_classes' >= 2, "
+                              f"got {self.input_dim} and {self.num_classes}")
         if self.kind is ModelKind.MLP and self.hidden < 1:
-            raise DomainError("MLP hidden width must be >= 1")
+            raise DomainError(f"MLP width 'hidden' must be >= 1, got {self.hidden}")
 
     @property
     def param_length(self) -> int:
@@ -54,11 +55,11 @@ class PartitionSpec:
 
     def __post_init__(self):
         if self.k < 1:
-            raise DomainError("need at least one client")
+            raise DomainError(f"need at least one client, got 'k' = {self.k}")
         if self.scheme is PartitionScheme.DIRICHLET and self.alpha <= 0.0:
-            raise DomainError("Dirichlet concentration must be positive")
+            raise DomainError(f"Dirichlet 'alpha' must be positive, got {self.alpha}")
         if self.scheme is PartitionScheme.PATHOLOGICAL and self.classes_per_client < 1:
-            raise DomainError("classes_per_client must be >= 1")
+            raise DomainError(f"'classes_per_client' must be >= 1, got {self.classes_per_client}")
 
 
 @dataclass

@@ -46,14 +46,14 @@ class CdfKind:
 
     def __post_init__(self):
         if self.scale <= 0.0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
+            raise DomainError(f"'scale' must be positive, got {self.scale}")
         if self.family is CdfFamily.EXPONENTIAL:
             if self.shape is not None:
-                raise DomainError("Exponential has no shape parameter")
+                raise DomainError("Exponential has no 'shape' parameter")
         else:
             resolved = self.shape if self.shape is not None else _DEFAULT_SHAPE[self.family]
             if resolved <= 0.0:
-                raise DomainError(f"shape must be positive, got {resolved}")
+                raise DomainError(f"'shape' must be positive, got {resolved}")
             object.__setattr__(self, "shape", float(resolved))
 
 
@@ -66,7 +66,7 @@ class ResponseBounds:
 
     def __post_init__(self):
         if not (0.0 <= self.c1 < self.c2):
-            raise DomainError(f"bounds require 0 <= c1 < c2, got [{self.c1}, {self.c2}]")
+            raise DomainError(f"bounds require 0 <= 'c1' < 'c2', got [{self.c1}, {self.c2}]")
 
     @classmethod
     def cross_silo(cls, k: int) -> "ResponseBounds":

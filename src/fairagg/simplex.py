@@ -8,7 +8,7 @@ returned point is directly checkable: every coordinate carrying mass must see
 a gradient entry within ``tol`` of the smallest one.
 
 The projection in the metric of a positive definite matrix is solved exactly
-by an active-set method on the matrix inverse.  The projected-gradient loop
+by an active-set method on the inverse its caller keeps.  The projected-gradient loop
 then certifies the point: it accepts a KKT-valid start at once and runs its
 line search only when the exact solve fell short (a drifted inverse or an
 active set that did not settle), so it is also the fallback.
@@ -237,14 +237,13 @@ def _active_set_projection(q: np.ndarray, b_inv: np.ndarray, tol: float) -> np.n
 
 
 def project_generalized(
-    q: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL, b_inv: np.ndarray | None = None
+    q: np.ndarray, b: np.ndarray, b_inv: np.ndarray, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Projection onto the simplex in the metric of a positive definite matrix.
 
     Returns argmin over the simplex of (p-q)^T B (p-q).  A feasible ``q`` is
     returned unchanged, and a single coordinate always gives exactly [1].
-    ``b_inv`` is the inverse of ``b`` when the caller already keeps one;
-    without it the inverse is computed here.
+    ``b_inv`` is the inverse of ``b`` that the caller keeps.
 
     The minimizer is solved exactly by an active-set method on ``b_inv``,
     cleaned onto the simplex, and handed as the start to
@@ -260,7 +259,7 @@ def project_generalized(
         raise InvalidDimensionError(
             f"metric matrix shape {b.shape} does not match vector length {q.size}"
         )
-    if b_inv is not None and np.shape(b_inv) != b.shape:
+    if np.shape(b_inv) != b.shape:
         raise InvalidDimensionError(
             f"inverse shape {np.shape(b_inv)} does not match metric shape {b.shape}"
         )
@@ -275,11 +274,10 @@ def project_generalized(
         return float(d @ bd), 2.0 * bd
 
     try:
-        inverse = np.linalg.inv(b) if b_inv is None else np.asarray(b_inv, dtype=float)
-        exact = _active_set_projection(q, inverse, tol)
+        exact = _active_set_projection(q, np.asarray(b_inv, dtype=float), tol)
     except np.linalg.LinAlgError:
         exact = None
-    # Without a usable inverse, start from the Euclidean projection; it is
+    # Where the active-set solve fails, start from the Euclidean projection; it is
     # feasible and close for well-conditioned metrics.
     start = project_to_simplex(q if exact is None else exact)
     return minimize_over_simplex(fun, q.size, tol=tol, start=start)

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import fairagg
-from fairagg.aggregator import MethodKind
+from fairagg import cli
+from fairagg.aggregator import AggregatorMethod, MethodKind
 from fairagg.cli import (
     ROUNDS_HEADER,
     SUMMARY_HEADER,
@@ -30,7 +31,9 @@ from fairagg.cli import (
     write_results,
 )
 from fairagg.errors import ConfigError, DomainError
-from fairagg.response import CdfFamily
+from fairagg.fedsim import ServerOptKind
+from fairagg.modeldata import ModelKind, ModelSpec, PartitionScheme, PartitionSpec
+from fairagg.response import CdfFamily, CdfKind, ResponseBounds
 
 MINIMAL = '{"K": 10, "T": 50, "method": "Static"}'
 
@@ -193,6 +196,97 @@ def test_non_finite_floats_rejected(extra, key):
     # a 401-digit integer overflows the first float operation.
     with pytest.raises(ConfigError, match=f"config key '{key}' must be float, got "):
         parse_config('{"K": 4, "T": 5, ' + extra + "}")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("K", 10**400), ("T", -(10**400)), ("num_samples", 10**400), ("seeds", [0, 10**400])],
+    ids=["K", "T", "num_samples", "seeds"],
+)
+def test_integers_past_the_float_range_rejected(key, value):
+    # 1 / K overflows for a 401-digit K; no key takes an integer a float cannot hold.
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be "):
+        parse_config(json.dumps({"K": 4, "T": 5, "method": "Static", key: value}))
+
+
+def test_an_integer_too_long_to_read_is_a_config_error():
+    # Python caps int() at 4300 digits by default, and json reads integers with it.
+    with pytest.raises(ConfigError):
+        parse_config('{"K": 1' + "0" * 5000 + ', "T": 5, "method": "Static"}')
+
+
+@pytest.mark.parametrize(
+    "extra, name",
+    [
+        ({"beta1": 1.0}, "beta1"),
+        ({"beta2": -0.1}, "beta2"),
+        ({"tau": 0.0}, "tau"),
+        ({"partition": "Dirichlet", "alpha": 0.0}, "alpha"),
+        ({"partition": "Pathological", "classes_per_client": 0}, "classes_per_client"),
+        ({"cdf_scale": 0.0}, "scale"),
+        ({"cdf": "Weibull", "cdf_shape": -2.0}, "shape"),
+        ({"bounds_mode": "Explicit", "c1": 0.2, "c2": 0.2}, "c1"),
+        ({"input_dim": 0}, "input_dim"),
+        ({"num_classes": 1}, "num_classes"),
+        ({"model": "MLP", "hidden": 0}, "hidden"),
+        ({"method": "QFedAvg", "q": -0.5}, "q"),
+        ({"method": "TERM", "tilt": -1.0}, "tilt"),
+    ],
+    ids=["beta1", "beta2", "tau", "alpha", "classes_per_client", "cdf_scale", "cdf_shape",
+         "c1_not_below_c2", "input_dim", "num_classes", "hidden", "q", "tilt"],
+)
+def test_library_ranges_are_checked_at_parse(extra, name):
+    # Each value is checked by the library type that holds it, once, at parse
+    # time; the message names that type's parameter.
+    with pytest.raises(ConfigError, match=f"config rejected: .*'{name}'"):
+        parse_config(json.dumps({"K": 4, "T": 5, "method": "Static", **extra}))
+
+
+# Every key a library type holds, at a valid value other than its default.
+LIBRARY_KEYS = dict(
+    K=6, T=3, method="TERM", C=0.5, B=7, E=2, lr=0.05, lr_decay=0.9, decay_step=4,
+    prox_mu=0.01, weight_decay=0.02, q=2.0, tilt=0.5, loss_ceiling=4.0, cdf="Gumbel",
+    cdf_scale=1.5, cdf_shape=0.7, bounds_mode="Explicit", c1=0.01, c2=0.3,
+    partition="Pathological", alpha=0.3, classes_per_client=3, model="MLP", input_dim=3,
+    num_classes=4, hidden=5, num_samples=300, server_opt="Adam", server_lr=0.2, beta1=0.8,
+    beta2=0.95, tau=0.01,
+)
+
+
+def test_validation_makes_no_data_or_model(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validation must not touch data or a model")
+
+    for name in ("make_synthetic", "partition", "init_params"):
+        monkeypatch.setattr(cli, name, forbidden)
+    assert parse_config(json.dumps(LIBRARY_KEYS)).hidden == 5
+
+
+def test_build_state_wires_every_library_value(monkeypatch):
+    handed = []
+    real = cli.partition
+
+    def spy(dataset, spec):
+        handed.append(spec)
+        return real(dataset, spec)
+
+    monkeypatch.setattr(cli, "partition", spy)
+    state = build_state(parse_config(json.dumps(LIBRARY_KEYS)), seed=5)
+    assert handed == [PartitionSpec(PartitionScheme.PATHOLOGICAL, k=6, seed=5, alpha=0.3,
+                                    classes_per_client=3)]
+    assert state.model_spec == ModelSpec(ModelKind.MLP, input_dim=3, num_classes=4, hidden=5)
+    assert state.method == AggregatorMethod(MethodKind.TERM, q=2.0, tilt=0.5, loss_ceiling=4.0)
+    assert state.cdf == CdfKind(CdfFamily.GUMBEL, scale=1.5, shape=0.7)
+    assert state.bounds == ResponseBounds(0.01, 0.3)
+    server = state.server_opt
+    assert (server.kind, server.lr, server.beta1, server.beta2, server.tau) == (
+        ServerOptKind.ADAM, 0.2, 0.8, 0.95, 0.01
+    )
+    scalars = (state.master_seed, state.sampling_c, state.epochs, state.batch_size, state.lr,
+               state.lr_decay, state.decay_step, state.prox_mu, state.weight_decay)
+    assert scalars == (5, 0.5, 2, 7, 0.05, 0.9, 4, 0.01, 0.02)
+    assert (state.k, len(state.pool)) == (6, 300)
+    assert state.params.shape == (state.model_spec.param_length,)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +481,18 @@ def test_main_run_rejects_growing_lr_decay(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_bad_library_value_fails_once_before_any_seed(tmp_path, capsys):
+    config_path = tmp_path / "beta1.json"
+    config_path.write_text(json.dumps({
+        "K": 4, "T": 2, "method": "Static", "beta1": 1.0, "seeds": [0, 1, 2],
+    }))
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--output", str(out)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "'beta1'" in errors[0]
+    assert not out.exists()
+
+
 def test_main_run_non_utf8_config_fails_cleanly(tmp_path, capsys):
     config_path = tmp_path / "latin1.json"
     config_path.write_bytes(b'{"K": 4, "T": 5, "method": "Static", "cdf": "\xe9"}')
@@ -526,6 +632,9 @@ def test_regret_bench_single_client_passes(capsys):
 
 
 def test_invalid_explicit_bounds_fail_at_build_time(tmp_path):
-    cfg = small_config(tmp_path, bounds_mode="Explicit", c1=0.5, c2=0.1)
+    # Built directly, as perfbench builds its configs, so no parse-time check runs.
+    cfg = ExperimentConfig(K=3, T=2, method="Static", num_samples=60,
+                           output_dir=str(tmp_path / "out"),
+                           bounds_mode="Explicit", c1=0.5, c2=0.1)
     with pytest.raises(DomainError):
         build_state(cfg, seed=0)
