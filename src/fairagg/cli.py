@@ -84,28 +84,28 @@ class ExperimentConfig:
     decay_step: int = 10
     prox_mu: float = 0.0
     weight_decay: float = 0.0
-    q: float = 1.0
-    tilt: float = 1.0
-    loss_ceiling: float = 3.0
+    q: float = AggregatorMethod.q
+    tilt: float = AggregatorMethod.tilt
+    loss_ceiling: float = AggregatorMethod.loss_ceiling
     cdf: str | None = None
-    cdf_scale: float = 1.0
+    cdf_scale: float = CdfKind.scale
     cdf_shape: float | None = None
     bounds_mode: str = "CrossSilo"
     c1: float | None = None
     c2: float | None = None
     partition: str = "IID"
-    alpha: float = 0.5
-    classes_per_client: int = 2
+    alpha: float = PartitionSpec.alpha
+    classes_per_client: int = PartitionSpec.classes_per_client
     model: str = "LogisticRegression"
     input_dim: int = 2
     num_classes: int = 2
-    hidden: int = 16
+    hidden: int = ModelSpec.hidden
     num_samples: int = 2000
     server_opt: str = "SGD"
-    server_lr: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.99
-    tau: float = 1e-3
+    server_lr: float = ServerOptimizer.lr
+    beta1: float = ServerOptimizer.beta1
+    beta2: float = ServerOptimizer.beta2
+    tau: float = ServerOptimizer.tau
     seeds: list[int] = field(default_factory=lambda: [0])
     output_dir: str = "results"
 
@@ -115,20 +115,22 @@ _HINTS = get_type_hints(ExperimentConfig)
 _SCHEMA = {f.name: (f.type, _HINTS[f.name]) for f in fields(ExperimentConfig)}
 _REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig)
                   if f.default is MISSING and f.default_factory is MISSING]
+_MAGNITUDE = {int: 2**63 - 1, float: sys.float_info.max}
 
 
 def _fits(hint, value) -> bool:
-    """Whether a JSON value fits a field type; a bool fits none, an int fits float.
+    """Whether a value fits a field type; a bool fits none, an int fits float.
 
-    A numeric key takes only values within the float range: ``json`` reads
+    An int key takes magnitudes below 2**63, the int64 range numpy sizes and
+    seeds with; a float key, values within the float range: ``json`` reads
     ``NaN``, ``Infinity`` and ``1e400`` as non-finite floats, which pass ``<= 0``
-    range checks, and a longer integer overflows in float arithmetic (``1 / K``).
+    range checks, and a longer integer overflows in float arithmetic.
     """
     if isinstance(value, bool):
         return False
     args = get_args(hint)
     if hint in (int, float):
-        return isinstance(value, (int, hint)) and abs(value) <= sys.float_info.max
+        return isinstance(value, (int, hint)) and abs(value) <= _MAGNITUDE[hint]
     if get_origin(hint) is list:
         return isinstance(value, list) and all(_fits(args[0], v) for v in value)
     if type(None) in args:
@@ -147,7 +149,7 @@ _ENUM_KEYS = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON config document."""
+    """Read a JSON config object with no unknown or missing key, then validate it."""
     try:
         raw = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
@@ -162,24 +164,24 @@ def parse_config(text: str) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
-    for key, value in raw.items():
-        annotation, hint = _SCHEMA[key]
-        if not _fits(hint, value):
-            raise ConfigError(f"config key '{key}' must be {annotation}, got {value!r}")
-        if value is not None and key in _ENUM_KEYS and value not in _ENUM_KEYS[key]:
-            allowed = ", ".join(sorted(_ENUM_KEYS[key]))
-            raise ConfigError(f"config key '{key}' must be one of: {allowed}")
-
     cfg = ExperimentConfig(**raw)
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Reject a value no seed could run with one ConfigError, whose message
-    names the key or the library parameter that holds it.  The checks here are
-    those no type makes; each value ``_config_values`` builds checks itself.
-    Only ``num_samples`` and ``loss_ceiling`` wait for each seed's data."""
+    """The one gate for any config, parsed, overridden or built in code: a
+    value no seed could run raises one ConfigError naming its key or library
+    parameter.  Keys must fit their field's type and choices; each value
+    ``_config_values`` builds checks its own range.  Only ``num_samples`` and
+    ``loss_ceiling`` wait for each seed's data."""
+    for key, (annotation, hint) in _SCHEMA.items():
+        value = getattr(cfg, key)
+        if not _fits(hint, value):
+            raise ConfigError(f"config key '{key}' must be {annotation}, got {value!r}")
+        if value is not None and key in _ENUM_KEYS and value not in _ENUM_KEYS[key]:
+            allowed = ", ".join(sorted(_ENUM_KEYS[key]))
+            raise ConfigError(f"config key '{key}' must be one of: {allowed}")
     if cfg.K < 1 or cfg.T < 1:
         raise ConfigError("config keys 'K' and 'T' must be >= 1")
     if not (0.0 < cfg.C <= 1.0):
@@ -314,24 +316,26 @@ def write_results(
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
-    """Run every configured seed in turn and persist the ones that complete.
-    A seed that raises a FairaggError prints ``error: seed S: message`` and
-    writes no rounds file or summary row, and the call returns 1; else 0.
-    ``threads`` is accepted for compatibility and never affects results."""
-    reports_by_seed: dict[int, list[RoundReport]] = {}
+    """Run the configured seeds in turn, holding one seed's reports at a time;
+    each that completes is written at once, with a summary of those so far.  A
+    seed that raises a FairaggError prints ``error: seed S: message`` and gets
+    no rounds file or summary row; the call then returns 1, as it does at once
+    on a write failure, else 0.  ``threads`` never affects results."""
+    summaries: dict[int, PerformanceSummary] = {}
     for seed in cfg.seeds:
         try:
             state = build_state(cfg, seed)
-            reports_by_seed[seed] = [run_round(state, t) for t in range(cfg.T)]
+            reports = [run_round(state, t) for t in range(cfg.T)]
         except FairaggError as exc:
             print(f"error: seed {seed}: {exc}", file=sys.stderr)
-    summaries = {seed: reports[-1].summary for seed, reports in reports_by_seed.items()}
-    try:
-        if summaries:
-            write_results(reports_by_seed, summaries, cfg.output_dir)
-    except FairaggError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            continue
+        summaries[seed] = reports[-1].summary
+        try:
+            write_results({seed: reports}, summaries, cfg.output_dir)
+        except FairaggError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        del state, reports
     return 0 if len(summaries) == len(cfg.seeds) else 1
 
 

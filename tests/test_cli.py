@@ -28,6 +28,7 @@ from fairagg.cli import (
     run_experiment,
     sequence_regret,
     synthetic_responses,
+    validate_config,
     write_results,
 )
 from fairagg.errors import ConfigError, DomainError
@@ -209,6 +210,34 @@ def test_integers_past_the_float_range_rejected(key, value):
         parse_config(json.dumps({"K": 4, "T": 5, "method": "Static", key: value}))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("K", 2**63), ("num_samples", 10**300), ("B", 2**63), ("seeds", [0, 2**63])],
+    ids=["K", "num_samples", "B", "seeds"],
+)
+def test_integer_keys_fit_int64(key, value):
+    # numpy sizes arrays and seeds with int64: a num_samples of 10**300 would
+    # overflow in the first split and a 300-digit seed would not fit a file name.
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be "):
+        parse_config(json.dumps({"K": 4, "T": 5, "method": "Static", key: value}))
+    largest = parse_config('{"K": 4, "T": 5, "method": "Static", "seeds": [9223372036854775807]}')
+    assert largest.seeds == [2**63 - 1]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("method", "Nope"), ("K", "4"), ("seeds", [True]), ("partition", None)],
+    ids=["method", "K", "seeds", "partition"],
+)
+def test_a_config_built_in_code_meets_the_same_gate(key, value):
+    body = {"K": 4, "T": 5, "method": "Static", key: value}
+    with pytest.raises(ConfigError, match=f"config key '{key}' must be ") as built:
+        validate_config(ExperimentConfig(**body))
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(json.dumps(body))
+    assert str(built.value) == str(parsed.value)
+
+
 def test_an_integer_too_long_to_read_is_a_config_error():
     # Python caps int() at 4300 digits by default, and json reads integers with it.
     with pytest.raises(ConfigError):
@@ -363,6 +392,58 @@ def test_a_failing_seed_leaves_the_other_seeds_written(tmp_path, capsys):
         assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
+def test_each_seed_is_written_once_when_it_finishes(tmp_path, monkeypatch):
+    calls = []
+    real = cli.write_results
+
+    def spy(reports_by_seed, summaries, out_dir):
+        calls.append(({s: len(r) for s, r in reports_by_seed.items()}, sorted(summaries)))
+        real(reports_by_seed, summaries, out_dir)
+
+    monkeypatch.setattr(cli, "write_results", spy)
+    assert run_experiment(small_config(tmp_path, seeds=[7, 0])) == 0
+    assert calls == [({7: 2}, [7]), ({0: 2}, [0, 7])]
+
+
+def test_an_interrupted_run_keeps_the_seeds_it_finished(tmp_path, monkeypatch):
+    real = cli.run_round
+
+    def interrupt(state, t):
+        if state.master_seed == 2:
+            raise KeyboardInterrupt
+        return real(state, t)
+
+    monkeypatch.setattr(cli, "run_round", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(small_config(tmp_path, method="AAggFFS", seeds=[0, 1, 2]))
+    monkeypatch.setattr(cli, "run_round", real)
+    finished = small_config(tmp_path, method="AAggFFS", seeds=[0, 1],
+                            output_dir=str(tmp_path / "finished"))
+    assert run_experiment(finished) == 0
+    out = tmp_path / "out"
+    names = sorted(path.name for path in out.iterdir())
+    assert names == ["rounds_seed0.csv", "rounds_seed1.csv", "summary.csv"]
+    for name in names:
+        assert (out / name).read_bytes() == (tmp_path / "finished" / name).read_bytes()
+
+
+def test_a_write_failure_ends_the_run_at_once(tmp_path, monkeypatch, capsys):
+    built = []
+    real = cli.build_state
+
+    def spy(cfg, seed):
+        built.append(seed)
+        return real(cfg, seed)
+
+    monkeypatch.setattr(cli, "build_state", spy)
+    blocker = tmp_path / "blocked"
+    blocker.write_text("a file, not a directory")
+    assert run_experiment(small_config(tmp_path, seeds=[0, 1], output_dir=str(blocker))) == 1
+    assert built == [0]
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: failed writing results")
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg_a = small_config(tmp_path, method="AAggFFD", C=0.5, output_dir=str(tmp_path / "a"))
     cfg_b = small_config(tmp_path, method="AAggFFD", C=0.5, output_dir=str(tmp_path / "b"))
@@ -465,6 +546,19 @@ def test_main_run_error_paths(tmp_path, capsys):
     good.write_text(MINIMAL)
     assert main(["run", "--config", str(good), "--seeds", "1,zwei"]) == 1
     assert "--seeds" in capsys.readouterr().err
+
+
+def test_main_run_rejects_a_seed_override_past_int64(tmp_path, capsys):
+    # The override meets the same gate as the file, before any seed runs.
+    good = tmp_path / "good.json"
+    good.write_text('{"K": 2, "T": 1, "method": "Static", "num_samples": 20}')
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(good), "--output", str(out), "--seeds", "7" * 300]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(json.dumps({"K": 2, "T": 1, "method": "Static", "seeds": [int("7" * 300)]}))
+    assert errors == [f"error: {parsed.value}"]
+    assert not out.exists()
 
 
 def test_main_run_rejects_growing_lr_decay(tmp_path, capsys):
