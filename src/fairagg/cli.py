@@ -465,8 +465,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = parse_config(Path(args.config).read_text())
         if args.seeds is not None:
+            items = args.seeds.split(",")
             try:
-                cfg.seeds = [int(s) for s in args.seeds.split(",")]
+                # Digits only, as JSON reads them: int() also takes signs, "_" and spaces.
+                if not all(s.isascii() and s.isdigit() for s in items):
+                    raise ValueError
+                cfg.seeds = [int(s) for s in items]
             except ValueError:
                 raise ConfigError("--seeds must be a comma-separated integer list") from None
             validate_config(cfg)

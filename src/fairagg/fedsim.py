@@ -195,13 +195,9 @@ def client_update(
         if weight_decay > 0.0:
             grad = grad + weight_decay * current
         stepped = current - lr * grad
-        # Overflowed parameters can come with a still-finite loss, so the new
-        # iterate is checked too.
-        ok = (
-            np.isfinite(loss)
-            & np.all(np.isfinite(grad), axis=1)
-            & np.all(np.isfinite(stepped), axis=1)
-        )
+        # Overflowed parameters can come with a still-finite loss, so the new iterate
+        # is checked; as ``current`` is finite, it is non-finite wherever ``grad`` is.
+        ok = np.isfinite(loss) & np.isfinite(stepped).all(axis=1)
         local[movers[ok]] = stepped[ok]
         diverged[movers[~ok]] = True
 

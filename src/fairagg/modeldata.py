@@ -105,20 +105,23 @@ def make_synthetic(n: int, input_dim: int, num_classes: int, seed: int) -> Datas
         raise DomainError(f"need at least one sample per class ({num_classes}), got {n}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
 
-    labels = np.repeat(np.arange(num_classes), _split_sizes(n, num_classes))
+    try:
+        labels = np.repeat(np.arange(num_classes), _split_sizes(n, num_classes))
 
-    means = np.zeros((num_classes, input_dim))
-    for c in range(num_classes):
-        vertex = c % input_dim
-        means[c, vertex] = CLUSTER_SEPARATION * (1.0 + c // input_dim)
+        means = np.zeros((num_classes, input_dim))
+        for c in range(num_classes):
+            vertex = c % input_dim
+            means[c, vertex] = CLUSTER_SEPARATION * (1.0 + c // input_dim)
 
-    # Unequal class difficulty gives reweighting schemes a structural worst
-    # group to lift; with equal spreads every linear boundary placement
-    # serves all clients alike and fairness comparisons reduce to noise.
-    spread = CLUSTER_NOISE * (1.0 + CLASS_NOISE_GROWTH * np.arange(num_classes))
-    features = means[labels] + spread[labels, None] * rng.standard_normal((n, input_dim))
-    order = rng.permutation(n)
-    return Dataset(features[order], labels[order].astype(np.int64))
+        # Unequal class difficulty gives reweighting schemes a structural worst
+        # group to lift; with equal spreads every linear boundary placement
+        # serves all clients alike and fairness comparisons reduce to noise.
+        spread = CLUSTER_NOISE * (1.0 + CLASS_NOISE_GROWTH * np.arange(num_classes))
+        features = means[labels] + spread[labels, None] * rng.standard_normal((n, input_dim))
+        order = rng.permutation(n)
+        return Dataset(features[order], labels[order].astype(np.int64))
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(f"cannot allocate {n} samples of {input_dim} features: {exc}") from exc
 
 
 def partition(dataset: Dataset, spec: PartitionSpec) -> tuple[Dataset, np.ndarray]:
@@ -196,13 +199,23 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> tuple[Dataset, np.ndarra
 # ---------------------------------------------------------------------------
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp of -|z| never overflows; both branches are the usual stable forms.
+    # exp(-|z|) never overflows and lies in [0, 1]; both branches are the usual stable forms.
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # numpy reduces a short last axis with one inner-loop call per row, so up to
+    # 8 classes the max goes column by column (exact; NaN passes through as in
+    # ``max``); with more, one call per column costs as much or more.  The sum
+    # stays a row sum: by columns it would add in another order from 8 on.
+    if logits.shape[-1] > 8:
+        top = logits.max(axis=-1)
+    else:
+        top = logits[..., 0]
+        for c in range(1, logits.shape[-1]):
+            top = np.maximum(top, logits[..., c])
+    shifted = logits - top[..., None]
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
@@ -238,7 +251,8 @@ def _forward(
             x = _sigmoid(x)
         weights.append(w)
         inputs.append(x)
-        x = x @ np.swapaxes(w, -1, -2) + b
+        x = x @ np.swapaxes(w, -1, -2)
+        x += b
     return weights, inputs, x
 
 
@@ -252,17 +266,20 @@ def _row_losses(logits: np.ndarray, y: np.ndarray, grad: bool = False):
         raise DomainError(f"label {low if low < 0 else high} is outside the {classes} classes")
     if logits.shape[-1] == 1:
         prob = _sigmoid(logits[..., 0])
-        clipped = np.clip(prob, 1e-12, 1.0 - 1e-12)
+        clipped = np.minimum(np.maximum(prob, 1e-12), 1.0 - 1e-12)
         # One log of the label's probability; for labels in {0, 1} this is
         # bit for bit -(y log p + (1 - y) log(1 - p)).
         losses = -np.log(np.where(y == 1, clipped, 1.0 - clipped))
         return (losses, (prob - y)[..., None]) if grad else losses
     logp = _log_softmax(logits)
     # Row r's label entry sits at r * classes + label in the flat array.
-    losses = -logp.reshape(-1)[np.arange(y.size).reshape(y.shape) * classes + y]
+    picked = np.arange(y.size).reshape(y.shape) * classes + y
+    losses = -logp.reshape(-1)[picked]
     if not grad:
         return losses
-    return losses, np.exp(logp) - (y[..., None] == np.arange(classes))
+    delta = np.exp(logp)
+    delta.reshape(-1)[picked] -= 1.0
+    return losses, delta
 
 
 def check_group_sizes(sizes: np.ndarray, rows: int) -> None:
@@ -292,18 +309,26 @@ def loss_and_grad(
     check_group_sizes(sizes, len(batch))
 
     # Lay the groups out as (S, m) slots, group g's rows first in row g, so
-    # every layer is one batched matmul; padded slots get zero gradient and
-    # zero loss.
-    filled = np.arange(sizes.max()) < sizes[:, None]
-    x = np.zeros(filled.shape + batch.features.shape[1:])
-    x[filled] = batch.features
-    y = np.zeros(filled.shape, dtype=batch.labels.dtype)
-    y[filled] = batch.labels
+    # every layer is one batched matmul.  When every group is full a reshaped
+    # view is that layout; otherwise the rows fill zeroed slots, and padded
+    # slots get zero gradient and zero loss.
+    full = sizes.min() == sizes.max()
+    if full:
+        x = batch.features.reshape(sizes.size, -1, batch.features.shape[1])
+        y = batch.labels.reshape(sizes.size, -1)
+    else:
+        filled = np.arange(sizes.max()) < sizes[:, None]
+        x = np.zeros(filled.shape + batch.features.shape[1:])
+        x[filled] = batch.features
+        y = np.zeros(filled.shape, dtype=batch.labels.dtype)
+        y[filled] = batch.labels
 
     weights, inputs, logits = _forward(spec, params, x)
     losses, delta = _row_losses(logits, y, grad=True)
-    losses = np.where(filled, losses, 0.0)
-    delta = np.where(filled[..., None], delta, 0.0) / sizes[:, None, None]
+    if not full:
+        losses = np.where(filled, losses, 0.0)
+        delta = np.where(filled[..., None], delta, 0.0)
+    delta /= sizes[:, None, None]
     grads = []
     for i in reversed(range(len(weights))):
         a = inputs[i]

@@ -561,6 +561,35 @@ def test_main_run_rejects_a_seed_override_past_int64(tmp_path, capsys):
     assert not out.exists()
 
 
+# int() alone reads " +1" as 1, "0_7" as 7 and Arabic-Indic digits; a JSON
+# seeds list holds none of them.
+@pytest.mark.parametrize("seeds", [" +1,0_7", "1, 2", "+1", "0_7", "\u0661", "1,,2", ""])
+def test_main_run_takes_only_digits_as_a_seed_override(tmp_path, capsys, seeds):
+    good = tmp_path / "good.json"
+    good.write_text('{"K": 2, "T": 1, "method": "Static", "num_samples": 20}')
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(good), "--output", str(out), "--seeds", seeds]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: --seeds must be a comma-separated integer list"]
+    assert not out.exists()
+
+
+def test_a_dataset_too_large_to_allocate_fails_each_seed_cleanly(tmp_path, capsys):
+    # numpy refuses 2**62 samples as too big before allocating anything.
+    config_path = tmp_path / "huge.json"
+    config_path.write_text(json.dumps({
+        "K": 2, "T": 1, "method": "Static", "num_samples": 2**62, "seeds": [0, 1],
+    }))
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert [line.split(":")[1] for line in errors] == [" seed 0", " seed 1"]
+    assert all(f"cannot allocate {2**62} samples" in line for line in errors)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_run_rejects_growing_lr_decay(tmp_path, capsys):
     config_path = tmp_path / "decay.json"
     config_path.write_text(json.dumps({

@@ -511,6 +511,51 @@ def per_client_update(params, data, spec, *, epochs, batch_size, lr, prox_mu, we
     return feedback, received - local
 
 
+def three_mask_client_update(
+    params, data, sizes, spec, *, epochs, batch_size, lr, prox_mu, weight_decay, entropy
+):
+    """Reference: client_update as a stacked loop that tests the loss, the
+    gradient and the new iterate for finiteness, and writes every step
+    through the masks."""
+    received = np.asarray(params, dtype=float)
+    schedules = []
+    for size, offset, seed in zip(sizes, np.cumsum(sizes) - sizes, entropy):
+        if size <= batch_size or epochs == 0:
+            schedules.append([np.arange(offset, offset + size)] * epochs)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            orders = [offset + rng.permutation(size) for _ in range(epochs)]
+            schedules.append([order[start:start + batch_size]
+                              for order in orders for start in range(0, size, batch_size)])
+    steps = np.array([len(batches) for batches in schedules])
+    local = np.tile(received, (sizes.size, 1))
+    diverged = np.zeros(sizes.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps.max()):
+            movers = np.flatnonzero((steps > step) & ~diverged)
+            if movers.size == 0:
+                break
+            batches = [schedules[j][step] for j in movers]
+            current = local[movers]
+            loss, grad = loss_and_grad(
+                spec, current, data.subset(np.concatenate(batches)),
+                np.array([len(b) for b in batches]),
+            )
+            if prox_mu > 0.0:
+                grad = grad + prox_mu * (current - received)
+            if weight_decay > 0.0:
+                grad = grad + weight_decay * current
+            stepped = current - lr * grad
+            ok = (
+                np.isfinite(loss)
+                & np.all(np.isfinite(grad), axis=1)
+                & np.all(np.isfinite(stepped), axis=1)
+            )
+            local[movers[ok]] = stepped[ok]
+            diverged[movers[~ok]] = True
+    return received - local, diverged
+
+
 def random_shards(spec, sizes, rng):
     return [
         Dataset(
@@ -523,12 +568,16 @@ def random_shards(spec, sizes, rng):
 
 def stacked_and_reference(params, shards, spec, seed, **kwargs):
     """The grouped feedback and client_update over every shard, and the
-    per-client reference."""
+    per-client reference; client_update must equal the three-mask reference
+    bit for bit."""
     pool, sizes = pool_of(shards)
-    deltas, diverged = client_update(
-        params, pool, sizes, spec,
-        entropy=[[seed, i] for i in range(len(shards))], **kwargs,
+    entropy = [[seed, i] for i in range(len(shards))]
+    deltas, diverged = client_update(params, pool, sizes, spec, entropy=entropy, **kwargs)
+    expected, expected_diverged = three_mask_client_update(
+        params, pool, sizes, spec, entropy=entropy, **kwargs
     )
+    assert deltas.tobytes() == expected.tobytes()
+    assert diverged.tolist() == expected_diverged.tolist()
     stacked = feedback_of(params, pool, sizes, spec), deltas, diverged
     reference = [
         per_client_update(
@@ -573,7 +622,8 @@ def test_one_diverging_client_leaves_the_others_untouched():
     shards = random_shards(TRI, [30, 7, 45, 1], rng)
     kwargs = dict(epochs=2, batch_size=15, lr=10.0, prox_mu=0.0, weight_decay=0.0)
     params = np.zeros(TRI.param_length)
-    # Client 1's first step is finite; its second, mid-epoch, overflows.
+    # Client 1's first step is finite; its second, mid-epoch, overflows
+    # while the other three step.
     bad = list(shards)
     bad[1] = Dataset(1e200 * np.ones_like(shards[1].features), shards[1].labels)
     (feedback, deltas, diverged), reference = stacked_and_reference(params, bad, TRI, 5, **kwargs)

@@ -81,6 +81,12 @@ def test_synthetic_rejects_too_few_samples():
         make_synthetic(2, 2, 3, seed=0)
 
 
+def test_synthetic_too_large_to_allocate_is_a_domain_error():
+    # numpy refuses 2**62 int64 labels as too big before allocating anything.
+    with pytest.raises(DomainError, match=f"cannot allocate {2**62} samples"):
+        make_synthetic(2**62, 2, 2, seed=0)
+
+
 def test_synthetic_clusters_are_learnable():
     data = make_synthetic(400, 2, 2, seed=1)
     assert central_train_accuracy(BINARY, data) >= 0.9
@@ -346,6 +352,81 @@ def test_gradient_matches_finite_differences(spec, classes, sizes):
     assert float(np.max(np.abs(grad - numeric))) / scale <= 1e-5
 
 
+# The formulas the kernels replaced, kept as references that the kernels
+# must match bit for bit: a masked sigmoid numerator, a row max, a clip, a
+# one-hot subtraction and a zero-padded layout for every batch.
+def reference_sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def reference_row_losses(logits, y):
+    """Each row's cross-entropy and its gradient with respect to the logits."""
+    if logits.shape[-1] == 1:
+        prob = reference_sigmoid(logits[..., 0])
+        clipped = np.clip(prob, 1e-12, 1.0 - 1e-12)
+        return -np.log(np.where(y == 1, clipped, 1.0 - clipped)), (prob - y)[..., None]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    losses = -np.take_along_axis(logp, y[..., None], axis=-1)[..., 0]
+    return losses, np.exp(logp) - (y[..., None] == np.arange(logits.shape[-1]))
+
+
+def reference_loss_and_grad(spec, params, batch, sizes):
+    """loss_and_grad with every group zero-padded to the largest."""
+    filled = np.arange(sizes.max()) < sizes[:, None]
+    x = np.zeros(filled.shape + batch.features.shape[1:])
+    x[filled] = batch.features
+    y = np.zeros(filled.shape, dtype=batch.labels.dtype)
+    y[filled] = batch.labels
+    weights, inputs, start = [], [], 0
+    for i, (rows, cols) in enumerate(modeldata._layer_shapes(spec)):
+        w = params[:, start:start + rows * cols].reshape(-1, rows, cols)
+        b = params[:, None, start + rows * cols:start + rows * (cols + 1)]
+        start += rows * (cols + 1)
+        if i:
+            x = reference_sigmoid(x)
+        weights.append(w)
+        inputs.append(x)
+        x = x @ np.swapaxes(w, -1, -2) + b
+    losses, delta = reference_row_losses(x, y)
+    losses = np.where(filled, losses, 0.0)
+    delta = np.where(filled[..., None], delta, 0.0) / sizes[:, None, None]
+    grads = []
+    for i in reversed(range(len(weights))):
+        a = inputs[i]
+        grads[:0] = [
+            (np.swapaxes(delta, -1, -2) @ a).reshape(sizes.size, -1),
+            delta.sum(axis=-2),
+        ]
+        if i:
+            delta = (delta @ weights[i]) * a * (1.0 - a)
+    return losses.sum(axis=-1) / sizes, np.concatenate(grads, axis=-1)
+
+
+SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 745.5, -745.5, 800.0, -800.0, 1e308])
+
+
+# One logit is the binary case; up to 8 classes the class max is taken column
+# by column and above that along each row, and from 8 classes on a row sum adds
+# in another order than a column sum would.
+@pytest.mark.parametrize("classes", [1] + list(range(2, 21)))
+def test_row_losses_equal_the_reference_formulas_bit_for_bit(classes):
+    rng = np.random.default_rng(classes)
+    logits = 30.0 * rng.standard_normal((6, 40, classes))
+    logits[:3] = rng.choice(SPECIAL, size=(3, 40, classes))  # all-special rows
+    logits[3, :, 0] = rng.choice(SPECIAL, size=40)            # one special entry a row
+    labels = rng.integers(0, max(2, classes), size=(6, 40))
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses, delta = modeldata._row_losses(logits, labels, grad=True)
+        alone = modeldata._row_losses(logits, labels)
+        expected_losses, expected_delta = reference_row_losses(logits, labels)
+        z = np.concatenate([SPECIAL, -SPECIAL, logits.ravel()])
+        assert modeldata._sigmoid(z).tobytes() == reference_sigmoid(z).tobytes()
+    assert losses.tobytes() == alone.tobytes() == expected_losses.tobytes()
+    assert delta.tobytes() == expected_delta.tobytes()
+
+
 def test_loss_rejects_bad_params_and_batches():
     data = make_synthetic(10, 2, 2, seed=0)
     with pytest.raises(InvalidDimensionError):
@@ -499,8 +580,21 @@ def test_grouped_accuracy_equals_per_shard_accuracy(sizes, spec, seed):
     ]
 
 
+# Equal sizes take the unpadded layout; a nine-class MLP takes its class max
+# along each row and sums its class columns in another order than a column sum
+# would.
+MLP9 = ModelSpec(ModelKind.MLP, input_dim=3, num_classes=9, hidden=4)
+equal_sizes = st.tuples(st.integers(1, 8), st.integers(1, 60)).map(lambda t: [t[1]] * t[0])
+
+
 @settings(deadline=None)
-@given(shard_sizes, st.sampled_from([BINARY, MULTI, MLP]), st.integers(0, 2**32 - 1))
+@example([20, 20, 20], MLP9, 0)
+@example([20, 20, 7], MLP9, 0)
+@given(
+    st.one_of(shard_sizes, equal_sizes),
+    st.sampled_from([BINARY, MULTI, MLP, MLP9]),
+    st.integers(0, 2**32 - 1),
+)
 def test_grouped_loss_and_grad_equal_per_group_calls(sizes, spec, seed):
     rng = np.random.default_rng(seed)
     n = sum(sizes)
@@ -513,6 +607,9 @@ def test_grouped_loss_and_grad_equal_per_group_calls(sizes, spec, seed):
     shards = [pooled.subset(np.arange(end - size, end)) for end, size in zip(ends, sizes)]
 
     loss, grad = loss_and_grad(spec, params, pooled, np.array(sizes))
+    expected_loss, expected_grad = reference_loss_and_grad(spec, params, pooled, np.array(sizes))
+    assert loss.tobytes() == expected_loss.tobytes()
+    assert grad.tobytes() == expected_grad.tobytes()
     shared = group_loss(
         forward_logits(spec, params[0], pooled.features), pooled.labels, np.array(sizes)
     )
