@@ -57,15 +57,6 @@ class AggregatorMethod:
             raise DomainError(f"'tilt' must be positive, got {self.tilt}")
 
 
-BASELINE_KINDS = (
-    MethodKind.STATIC,
-    MethodKind.AFL,
-    MethodKind.QFEDAVG,
-    MethodKind.TERM,
-    MethodKind.PROPFAIR,
-)
-
-
 def _normalize(weights: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     total = float(weights.sum())
     if total <= 0.0 or not np.isfinite(total):
@@ -112,24 +103,6 @@ def baseline_coefficients(
     else:
         raise DomainError(f"{kind.value} has no closed-form baseline coefficients")
     return _normalize(weights, sizes)
-
-
-def eg_unified_step(prev: np.ndarray, response: np.ndarray, step: float) -> np.ndarray:
-    """One exponentiated-gradient update: p'_i proportional to p_i e^{r_i/step}."""
-    prev = np.asarray(prev, dtype=float)
-    response = np.asarray(response, dtype=float)
-    if prev.shape != response.shape or prev.ndim != 1:
-        raise InvalidDimensionError("decision and response must be equal-length 1-D")
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step}")
-    scaled = response / step
-    # Subtract the max before exponentiating; the common factor cancels in
-    # the normalization but keeps the exponentials finite.
-    weights = prev * np.exp(scaled - np.max(scaled))
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise DomainError("update annihilated all mass; previous decision degenerate")
-    return weights / total
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """Experiment runner: config parsing, execution, persistence, diagnostics.
 
-One binary, three subcommands:
+One binary, two subcommands:
 
 * ``run``          -- execute a configured experiment across seeds
 * ``regret-bench`` -- adaptive methods on synthetic bounded response
                       sequences, checked against their regret bounds
-* ``unify-check``  -- verify the one-step multiplicative-update form
-                      reproduces every baseline's closed-form coefficients
 
 Configs are JSON documents with a flat, fully documented key set; unknown
 keys are rejected by name.  All floats are serialized with 12 significant
@@ -24,14 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .aggregator import (
-    BASELINE_KINDS,
-    AggregatorMethod,
-    MethodKind,
-    baseline_coefficients,
-    eg_unified_step,
-    optimizer_init,
-)
+from .aggregator import AggregatorMethod, MethodKind, optimizer_init
 from .decision import decision_grad, lipschitz_constants
 from .errors import ConfigError, DomainError, FairaggError
 from .fedsim import (
@@ -354,7 +345,10 @@ def synthetic_responses(k: int, rounds: int, c2: float, seed: int) -> np.ndarray
     interesting regime for regret accounting.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-    responses = rng.uniform(0.0, 0.5 * c2, size=(rounds, k))
+    try:
+        responses = rng.uniform(0.0, 0.5 * c2, size=(rounds, k))
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(f"cannot allocate {rounds} rounds of {k} client responses: {exc}") from exc
     for t in range(rounds):
         favored = (t // _ROTATION_BLOCK) % k
         responses[t, favored] = rng.uniform(0.5 * c2, c2)
@@ -383,18 +377,22 @@ def cmd_regret_bench(args: argparse.Namespace) -> int:
     l_inf = lipschitz_constants(ResponseBounds(0.0, c2), 1.0).l_inf
     lines = ["method,T,regret,bound"]
     ok = True
-    for horizon in args.rounds:
-        responses = synthetic_responses(k, horizon, c2, args.seed)
-        for kind in (MethodKind.AAGGFF_S, MethodKind.AAGGFF_D):
-            regret = sequence_regret(kind, responses, c2)
-            bound = regret_envelope(kind, k, horizon, l_inf)
-            passed = regret <= bound
-            ok = ok and passed
-            print(
-                f"{kind.value}  T={horizon:<6d} regret={regret:.6f}  "
-                f"bound={bound:.6f}  {'PASS' if passed else 'FAIL'}"
-            )
-            lines.append(f"{kind.value},{horizon},{_fmt(regret)},{_fmt(bound)}")
+    try:
+        for horizon in args.rounds:
+            responses = synthetic_responses(k, horizon, c2, args.seed)
+            for kind in (MethodKind.AAGGFF_S, MethodKind.AAGGFF_D):
+                regret = sequence_regret(kind, responses, c2)
+                bound = regret_envelope(kind, k, horizon, l_inf)
+                passed = regret <= bound
+                ok = ok and passed
+                print(
+                    f"{kind.value}  T={horizon:<6d} regret={regret:.6f}  "
+                    f"bound={bound:.6f}  {'PASS' if passed else 'FAIL'}"
+                )
+                lines.append(f"{kind.value},{horizon},{_fmt(regret)},{_fmt(bound)}")
+    except FairaggError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.output:
         out = Path(args.output)
         try:
@@ -403,57 +401,6 @@ def cmd_regret_bench(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: failed writing results under {out}: {exc}", file=sys.stderr)
             return 1
-    return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
-# unify-check
-# ---------------------------------------------------------------------------
-
-def unify_instance(
-    kind: MethodKind, rng: np.random.Generator
-) -> tuple[AggregatorMethod, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Draw one random (method, sizes, losses) instance and its EG drive.
-
-    Returns (method, sizes, losses, eg_response, eg_step).
-    """
-    k = int(rng.integers(2, 11))
-    sizes = rng.integers(1, 101, size=k).astype(float)
-    losses = rng.uniform(0.05, 1.8, size=k)
-    if kind is MethodKind.QFEDAVG:
-        method = AggregatorMethod(kind, q=float(rng.choice([0.1, 1.0, 5.0])))
-        return method, sizes, losses, method.q * np.log(losses), 1.0
-    if kind is MethodKind.TERM:
-        method = AggregatorMethod(kind, tilt=float(rng.choice([0.1, 1.0, 10.0])))
-        return method, sizes, losses, losses.copy(), 1.0 / method.tilt
-    if kind is MethodKind.PROPFAIR:
-        method = AggregatorMethod(kind, loss_ceiling=float(rng.choice([2.0, 3.0, 5.0])))
-        return method, sizes, losses, -np.log(method.loss_ceiling - losses), 1.0
-    if kind is MethodKind.AFL:
-        # Drive the power high enough that everything but the argmax
-        # vanishes numerically: scale by the runner-up log-gap.
-        log_losses = np.log(losses)
-        ordered = np.sort(log_losses)
-        gap = max(ordered[-1] - ordered[-2], 1e-12)
-        power = 60.0 / gap
-        return AggregatorMethod(kind), sizes, losses, power * log_losses, 1.0
-    return AggregatorMethod(kind), sizes, losses, np.zeros(k), 1.0
-
-
-def cmd_unify_check(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 11]))
-    ok = True
-    for kind in BASELINE_KINDS:
-        worst = 0.0
-        for _ in range(args.instances):
-            method, sizes, losses, response, step = unify_instance(kind, rng)
-            closed = baseline_coefficients(method, sizes, losses)
-            eg = eg_unified_step(sizes / sizes.sum(), response, step)
-            worst = max(worst, float(np.max(np.abs(closed - eg))))
-        passed = worst <= 1e-9
-        ok = ok and passed
-        print(f"{kind.value:<10s} max |closed - eg| = {worst:.3e}  "
-              f"{'PASS' if passed else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -534,12 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
     p_bench.add_argument("--output", default=None, help="optional CSV output directory")
     p_bench.set_defaults(handler=cmd_regret_bench)
-
-    p_unify = sub.add_parser("unify-check",
-                             help="verify baselines against their one-step EG form")
-    p_unify.add_argument("--instances", type=_positive_int, default=100)
-    p_unify.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_unify.set_defaults(handler=cmd_unify_check)
     return parser
 
 

@@ -18,7 +18,6 @@ from fairagg.aggregator import (
     MethodKind,
     aaggff_s_step,
     baseline_coefficients,
-    eg_unified_step,
     ftrl_decision,
     ons_init,
 )
@@ -30,7 +29,6 @@ from fairagg.cli import (
     run_experiment,
     sequence_regret,
     synthetic_responses,
-    unify_instance,
 )
 from fairagg.decision import (
     decision_grad,
@@ -47,14 +45,7 @@ from fairagg.response import (
     transform_losses,
 )
 from fairagg.simplex import kkt_residual, minimize_over_simplex
-
-BASELINES = (
-    MethodKind.STATIC,
-    MethodKind.AFL,
-    MethodKind.QFEDAVG,
-    MethodKind.TERM,
-    MethodKind.PROPFAIR,
-)
+from unification import BASELINE_KINDS as BASELINES, eg_unified_step, unify_instance
 
 
 def report(num: int, detail: str, elapsed: float) -> None:

@@ -17,19 +17,17 @@ from hypothesis import strategies as st
 
 from fairagg.aggregator import (
     AggregatorMethod,
-    BASELINE_KINDS,
     MethodKind,
     aaggff_d_step,
     aaggff_s_step,
     baseline_coefficients,
-    eg_unified_step,
     ftrl_decision,
     ftrl_init,
     normalize_selected,
     ons_init,
 )
 from fairagg import aggregator, simplex
-from fairagg.cli import synthetic_responses, unify_instance
+from fairagg.cli import sequence_regret, synthetic_responses
 from fairagg.decision import decision_grad, dr_response, linearized_grad, lipschitz_constants
 from fairagg.errors import (
     DomainError,
@@ -37,9 +35,10 @@ from fairagg.errors import (
     NonConvergenceError,
     NumericalFailureError,
 )
-from fairagg.metrics import cumulative_regret
+from fairagg.metrics import cumulative_regret, regret_envelope
 from fairagg.response import ResponseBounds
 from fairagg.simplex import kkt_residual, minimize_over_simplex, uniform_decision
+from unification import BASELINE_KINDS, eg_unified_step, unify_instance
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +533,26 @@ def test_ftrl_regret_scaling_under_partial_feedback():
         float(np.mean(normalized[t])) * math.sqrt(t * math.log(k)) / t for t in horizons
     ]
     assert per_round[2] < per_round[1] < per_round[0]
+
+
+@pytest.mark.parametrize("horizon", [100, 500, 2000])
+def test_regret_envelopes_separate_learners_from_uniform_on_one_best_client(horizon):
+    # Client 0 alone responds, with c2, in every round.  Unlike the rotating
+    # regret-bench stream, whose best fixed decision sits near uniform, this
+    # one fails a decision that never learns: uniform stays above both
+    # envelopes while both adaptive methods stay within their own.
+    k, c2 = 8, 1.0 / 8
+    l_inf = lipschitz_constants(ResponseBounds(0.0, c2), 1.0).l_inf
+    responses = np.zeros((horizon, k))
+    responses[:, 0] = c2
+    envelopes = {
+        kind: regret_envelope(kind, k, horizon, l_inf)
+        for kind in (MethodKind.AAGGFF_S, MethodKind.AAGGFF_D)
+    }
+    for kind, envelope in envelopes.items():
+        assert sequence_regret(kind, responses, c2) <= envelope
+    uniform, _ = cumulative_regret([uniform_decision(k)] * horizon, list(responses))
+    assert uniform > max(envelopes.values())
 
 
 def test_monotone_response_gives_monotone_adaptive_decision():

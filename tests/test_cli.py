@@ -666,20 +666,34 @@ def test_regret_bench_rejects_bad_sizes(flag, value, capsys):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_unify_check_rejects_instances_below_one(value, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["unify-check", "--instances", value])
-    assert excinfo.value.code == 2
-    assert "argument --instances" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["regret-bench", "unify-check"])
+@pytest.mark.parametrize("command", ["regret-bench"])
 def test_negative_seed_is_a_usage_error(command, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([command, "--seed", "-1"])
     assert excinfo.value.code == 2
     assert "argument --seed" in capsys.readouterr().err
+
+
+def test_unify_check_is_not_a_command(capsys):
+    # The unification is checked by the test suite, not by a subcommand.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["unify-check"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_regret_bench_horizon_too_large_to_allocate_fails_cleanly(tmp_path, capsys):
+    # numpy refuses 10**18 rounds of 8 responses as too big before allocating anything.
+    out = tmp_path / "bench"
+    code = main([
+        "regret-bench", "--rounds", str(10**18), "--clients", "8", "--output", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and f"cannot allocate {10**18} rounds of 8" in errors[0]
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_regret_bench_unwritable_output_fails_cleanly(tmp_path, capsys):
@@ -705,7 +719,6 @@ for scheme in ("IID", "Dirichlet", "Pathological"):
     body = {"K": 4, "T": 2, "method": "AAggFFS", "partition": scheme, "output_dir": scheme}
     assert run_experiment(parse_config(json.dumps(body))) == 0
 assert main(["regret-bench", "--rounds", "20", "--clients", "4"]) == 0
-assert main(["unify-check", "--instances", "3"]) == 0
 print(before, "numpy.ma" in sys.modules)
 """
 
@@ -720,13 +733,6 @@ def test_commands_load_numpy_ma_only_with_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
     before, after = done.stdout.split()[-2:]
     assert after == before
-
-
-def test_main_unify_check(capsys):
-    assert main(["unify-check", "--instances", "20", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 5
-    assert "FAIL" not in out
 
 
 def test_main_regret_bench(tmp_path, capsys):
@@ -755,7 +761,7 @@ def test_regret_bench_single_client_passes(capsys):
 
 
 def test_invalid_explicit_bounds_fail_at_build_time(tmp_path):
-    # Built directly, as perfbench builds its configs, so no parse-time check runs.
+    # build_state rejects the bounds by itself, without validate_config.
     cfg = ExperimentConfig(K=3, T=2, method="Static", num_samples=60,
                            output_dir=str(tmp_path / "out"),
                            bounds_mode="Explicit", c1=0.5, c2=0.1)

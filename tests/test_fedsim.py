@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairagg.aggregator import (
-    BASELINE_KINDS,
     AggregatorMethod,
     FtrlState,
     MethodKind,
@@ -53,6 +52,7 @@ from fairagg.response import (
     ResponseBounds,
     transform_losses,
 )
+from unification import BASELINE_KINDS
 
 BINARY = ModelSpec(ModelKind.LOGISTIC, input_dim=2, num_classes=2)
 TRI = ModelSpec(ModelKind.LOGISTIC, input_dim=2, num_classes=3)
