@@ -136,21 +136,25 @@ class OnsState:
 
 
 def ons_init(k: int, l_inf: float) -> OnsState:
-    """Fresh optimizer state; the first decision is uniform by construction."""
+    """Fresh state, uniform first decision; DomainError if k x k matrices cannot be allocated."""
     if k < 1:
         raise InvalidDimensionError(f"need at least one client, got {k}")
     if l_inf <= 0.0:
         raise DomainError(f"gradient bound must be positive, got {l_inf}")
     alpha = 4.0 * k * l_inf
     beta = 1.0 / (4.0 * l_inf)
+    try:
+        mat, inv = alpha * np.eye(k), np.eye(k) / alpha
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(f"cannot allocate the {k}x{k} ONS matrices: {exc}") from exc
     return OnsState(
         round=0,
         grad_sum=np.zeros(k),
-        mat=alpha * np.eye(k),
+        mat=mat,
         rhs=np.zeros(k),
         beta=beta,
         last_decision=uniform_decision(k),
-        inv=np.eye(k) / alpha,
+        inv=inv,
     )
 
 

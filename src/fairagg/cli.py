@@ -26,6 +26,7 @@ from .aggregator import AggregatorMethod, MethodKind, optimizer_init
 from .decision import decision_grad, lipschitz_constants
 from .errors import ConfigError, DomainError, FairaggError
 from .fedsim import (
+    LocalSgd,
     RoundReport,
     ServerOptKind,
     ServerOptimizer,
@@ -68,13 +69,13 @@ class ExperimentConfig:
     T: int
     method: str
     C: float = 1.0
-    B: int = 20
-    E: int = 1
-    lr: float = 0.1
-    lr_decay: float = 0.99
-    decay_step: int = 10
-    prox_mu: float = 0.0
-    weight_decay: float = 0.0
+    B: int = LocalSgd.batch_size
+    E: int = LocalSgd.epochs
+    lr: float = LocalSgd.lr
+    lr_decay: float = LocalSgd.lr_decay
+    decay_step: int = LocalSgd.decay_step
+    prox_mu: float = LocalSgd.prox_mu
+    weight_decay: float = LocalSgd.weight_decay
     q: float = AggregatorMethod.q
     tilt: float = AggregatorMethod.tilt
     loss_ceiling: float = AggregatorMethod.loss_ceiling
@@ -163,9 +164,10 @@ def parse_config(text: str) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     """The one gate for any config, parsed, overridden or built in code: a
     value no seed could run raises one ConfigError naming its key or library
-    parameter.  Keys must fit their field's type and choices; each value
-    ``_config_values`` builds checks its own range.  Only ``num_samples`` and
-    ``loss_ceiling`` wait for each seed's data."""
+    parameter.  Keys must fit their field's type and choices.  ``T``, ``C``,
+    ``server_lr``, ``Explicit`` bounds and ``seeds`` are checked here; any other
+    range, by the value ``_config_values`` builds (``B`` as ``'batch_size'``).
+    Only ``num_samples`` and ``loss_ceiling`` wait for each seed's data."""
     for key, (annotation, hint) in _SCHEMA.items():
         value = getattr(cfg, key)
         if not _fits(hint, value):
@@ -173,22 +175,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if value is not None and key in _ENUM_KEYS and value not in _ENUM_KEYS[key]:
             allowed = ", ".join(sorted(_ENUM_KEYS[key]))
             raise ConfigError(f"config key '{key}' must be one of: {allowed}")
-    if cfg.K < 1 or cfg.T < 1:
-        raise ConfigError("config keys 'K' and 'T' must be >= 1")
+    if cfg.T < 1:
+        raise ConfigError("config key 'T' must be >= 1")
     if not (0.0 < cfg.C <= 1.0):
         raise ConfigError("config key 'C' must lie in (0, 1]")
-    if cfg.B < 1 or cfg.E < 0:
-        raise ConfigError("config keys 'B' must be >= 1 and 'E' >= 0")
-    for key in ("lr", "server_lr"):
-        if getattr(cfg, key) <= 0.0:
-            raise ConfigError(f"config key '{key}' must be positive")
-    # A decay above 1 grows the step size until the power overflows.
-    if not (0.0 < cfg.lr_decay <= 1.0):
-        raise ConfigError("config key 'lr_decay' must lie in (0, 1]")
-    if cfg.decay_step < 1:
-        raise ConfigError("config key 'decay_step' must be >= 1")
-    if cfg.prox_mu < 0.0 or cfg.weight_decay < 0.0:
-        raise ConfigError("config keys 'prox_mu' and 'weight_decay' must be >= 0")
+    # ServerOptimizer would name this value 'lr', the client step size's key.
+    if cfg.server_lr <= 0.0:
+        raise ConfigError("config key 'server_lr' must be positive")
     if cfg.bounds_mode == "Explicit" and (cfg.c1 is None or cfg.c2 is None):
         raise ConfigError("bounds_mode 'Explicit' requires config keys 'c1' and 'c2'")
     # Seeds feed numpy seed sequences, which take nonnegative integers only;
@@ -241,13 +234,9 @@ def _config_values(cfg: ExperimentConfig, seed: int) -> tuple[PartitionSpec, dic
         cdf=resolve_cdf(cfg),
         bounds=resolve_bounds(cfg),
         sampling_c=cfg.C,
-        epochs=cfg.E,
-        batch_size=cfg.B,
-        lr=cfg.lr,
-        lr_decay=cfg.lr_decay,
-        decay_step=cfg.decay_step,
-        prox_mu=cfg.prox_mu,
-        weight_decay=cfg.weight_decay,
+        local_sgd=LocalSgd(epochs=cfg.E, batch_size=cfg.B, lr=cfg.lr, lr_decay=cfg.lr_decay,
+                           decay_step=cfg.decay_step, prox_mu=cfg.prox_mu,
+                           weight_decay=cfg.weight_decay),
         server_opt=ServerOptimizer(kind=ServerOptKind(cfg.server_opt), lr=cfg.server_lr,
                                    beta1=cfg.beta1, beta2=cfg.beta2, tau=cfg.tau),
     )

@@ -15,15 +15,11 @@ since they belong to the parameters round t+1 broadcasts, that round's
 feedback is the loss over the sampled rows' kept logits, with no forward
 pass of its own.
 
-The sampled clients train together: each local SGD step is one stacked
-gradient pass over every still-training client's minibatch.  ``run_round``
-hands ``client_update`` every sampled client's substream entropy.  A client
-with more rows than the batch size seeds a generator from it and shuffles its
-rows every epoch.  A client whose rows fit one minibatch takes one full-batch
-step per epoch, which no order of its rows changes, so it walks them in pool
-order and builds no generator.
-``client_update`` trains every sampled client and returns deltas ``(S, P)``
-and a diverged mask ``(S,)``.  Only mixing drops a client, with a warning,
+The sampled clients train together under the state's ``LocalSgd``: each
+local SGD step is one stacked gradient pass over every still-training
+client's minibatch.  ``run_round`` hands ``client_update`` every sampled
+client's substream entropy, and gets back deltas ``(S, P)`` and a diverged
+mask ``(S,)``.  Only mixing drops a client, with a warning,
 for non-finite feedback or a diverged delta; the round fails when no client
 is left to mix.  The response estimate observes every sampled client, a
 dropped one at the worst response ``c2``.
@@ -111,6 +107,38 @@ class ServerOptimizer:
                 raise DomainError(f"'{name}' must lie in [0, 1), got {value}")
 
 
+@dataclass(frozen=True)
+class LocalSgd:
+    """Local SGD of each sampled client, at step size ``lr`` decayed by ``lr_decay``
+    every ``decay_step`` rounds, pulled toward the received parameters by
+    ``prox_mu`` (FedProx) and toward zero by ``weight_decay``."""
+
+    epochs: int = 1
+    batch_size: int = 20
+    lr: float = 0.1
+    lr_decay: float = 0.99
+    decay_step: int = 10
+    prox_mu: float = 0.0
+    weight_decay: float = 0.0
+
+    def __post_init__(self):
+        # Each check is written ``not x >= least`` so that NaN fails it.
+        for name, least in (("epochs", 0), ("batch_size", 1), ("decay_step", 1),
+                            ("prox_mu", 0), ("weight_decay", 0)):
+            value = getattr(self, name)
+            if not value >= least:
+                raise DomainError(f"'{name}' must be >= {least}, got {value}")
+        if not self.lr > 0.0:
+            raise DomainError(f"'lr' must be positive, got {self.lr}")
+        # A decay above 1 grows the step size until the power overflows.
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise DomainError(f"'lr_decay' must lie in (0, 1], got {self.lr_decay}")
+
+    def lr_at(self, t: int) -> float:
+        """The step size of round ``t``."""
+        return self.lr * self.lr_decay ** (t // self.decay_step)
+
+
 def sample_size(k: int, c: float) -> int:
     """Clients sampled per round: max(1, floor(c*k)) of k, with c*k rounded to 9
     decimals first so that 0.29 * 100 = 28.999999999999996 samples 29."""
@@ -133,26 +161,23 @@ def client_update(
     data: Dataset,
     sizes: np.ndarray,
     model_spec: ModelSpec,
+    sgd: LocalSgd,
+    t: int,
     *,
-    epochs: int,
-    batch_size: int,
-    lr: float,
-    prox_mu: float,
-    weight_decay: float,
     entropy: np.ndarray | list[list[int]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run local SGD from the received model for every client at once.
+    """Run round ``t``'s local SGD from the received model for every client at once.
 
     ``data`` holds the clients' rows one client after another, ``sizes[i]``
     of them for client i, and ``entropy[i]`` is the ``SeedSequence`` entropy
-    of client i's stream.  A client with more than ``batch_size`` rows seeds
-    a generator from it and walks one fresh permutation of its rows every
-    epoch, ``batch_size`` rows per minibatch.  A client whose rows fit one
-    minibatch, and every client at zero epochs, walks its rows in pool order
-    and builds no generator.  ``batch_size`` must be at least 1.  SGD step s
-    moves every client that still has an s-th minibatch, with one
-    ``loss_and_grad`` call over those minibatches stacked together.  With
-    prox_mu > 0 every step pulls back toward the received parameters.
+    of client i's stream.  A client with more than ``sgd.batch_size`` rows
+    seeds a generator from it and walks one fresh permutation of its rows
+    every epoch, ``sgd.batch_size`` rows per minibatch.  A client whose rows
+    fit one minibatch takes one full-batch step per epoch, which no order of
+    its rows changes, so it walks them in pool order and builds no generator,
+    as does every client at zero epochs.  SGD step s moves every client that
+    still has an s-th minibatch by ``sgd.lr_at(t)``, with one
+    ``loss_and_grad`` call over those minibatches stacked together.
 
     Returns ``(deltas, diverged)`` in the order of ``sizes``: the received
     parameters minus each client's final local ones ``(S, P)``, and a
@@ -163,8 +188,7 @@ def client_update(
     check_group_sizes(sizes, len(data))
     if len(entropy) != sizes.size:
         raise InvalidDimensionError(f"got {len(entropy)} entropy rows for {sizes.size} clients")
-    if batch_size < 1:
-        raise DomainError("batch size must be >= 1")
+    epochs, batch_size, lr = sgd.epochs, sgd.batch_size, sgd.lr_at(t)
     received = np.asarray(params, dtype=float)
     # Row indices into ``data`` of every client's minibatches, in step order.
     schedules = []
@@ -190,10 +214,10 @@ def client_update(
         loss, grad = loss_and_grad(
             model_spec, current, data.subset(np.concatenate(batches)), counts
         )
-        if prox_mu > 0.0:
-            grad = grad + prox_mu * (current - received)
-        if weight_decay > 0.0:
-            grad = grad + weight_decay * current
+        if sgd.prox_mu > 0.0:
+            grad = grad + sgd.prox_mu * (current - received)
+        if sgd.weight_decay > 0.0:
+            grad = grad + sgd.weight_decay * current
         stepped = current - lr * grad
         # Overflowed parameters can come with a still-finite loss, so the new iterate
         # is checked; as ``current`` is finite, it is non-finite wherever ``grad`` is.
@@ -264,7 +288,7 @@ class RoundReport:
 
 @dataclass
 class SimulationState:
-    """Everything one seed's run needs, advanced in place by run_round."""
+    """Everything one seed's run needs, its ``LocalSgd`` too, advanced in place by run_round."""
 
     master_seed: int
     model_spec: ModelSpec
@@ -276,13 +300,7 @@ class SimulationState:
     cdf: CdfKind
     bounds: ResponseBounds
     sampling_c: float
-    epochs: int
-    batch_size: int
-    lr: float
-    lr_decay: float
-    decay_step: int
-    prox_mu: float
-    weight_decay: float
+    local_sgd: LocalSgd
     server_opt: ServerOptimizer
     decision: np.ndarray = field(init=False)
     # The adaptive method's optimizer; None for a closed-form baseline.
@@ -311,10 +329,6 @@ class SimulationState:
     @property
     def k(self) -> int:
         return self.sizes.size
-
-
-def _effective_lr(state: SimulationState, t: int) -> float:
-    return state.lr * state.lr_decay ** (t // state.decay_step)
 
 
 def _client_entropy(seed: int, t: int, clients: np.ndarray) -> np.ndarray:
@@ -374,15 +388,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
     if not finite.any():
         raise DivergenceError(f"every sampled client diverged in round {t}", round_index=t)
     deltas, failed = client_update(
-        state.params,
-        state.pool.subset(rows),
-        sizes,
-        state.model_spec,
-        epochs=state.epochs,
-        batch_size=state.batch_size,
-        lr=_effective_lr(state, t),
-        prox_mu=state.prox_mu,
-        weight_decay=state.weight_decay,
+        state.params, state.pool.subset(rows), sizes, state.model_spec, state.local_sgd, t,
         entropy=_client_entropy(state.master_seed, t, sampled),
     )
     mixed = finite & ~failed

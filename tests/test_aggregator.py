@@ -179,6 +179,12 @@ def test_ons_init_shapes_and_first_decision():
         ons_init(0, 1.0)
 
 
+def test_ons_init_too_large_to_allocate_is_a_domain_error():
+    # numpy refuses a 2**32 x 2**32 matrix as too big before allocating anything.
+    with pytest.raises(DomainError, match=f"cannot allocate the {2**32}x{2**32} ONS matrices"):
+        ons_init(2**32, 1.0)
+
+
 def test_ons_single_client_stays_degenerate():
     state = ons_init(1, 0.5)
     state, decision = aaggff_s_step(state, np.array([-0.3]))

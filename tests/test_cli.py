@@ -32,7 +32,7 @@ from fairagg.cli import (
     write_results,
 )
 from fairagg.errors import ConfigError, DomainError
-from fairagg.fedsim import ServerOptKind
+from fairagg.fedsim import LocalSgd, ServerOptKind
 from fairagg.modeldata import ModelKind, ModelSpec, PartitionScheme, PartitionSpec
 from fairagg.response import CdfFamily, CdfKind, ResponseBounds
 
@@ -164,18 +164,23 @@ def test_config_key_types_follow_the_dataclass(field):
 def test_range_violations_rejected():
     with pytest.raises(ConfigError, match="'C'"):
         parse_config('{"K": 4, "T": 5, "method": "Static", "C": 0.0}')
-    with pytest.raises(ConfigError, match="'K' and 'T'"):
+    with pytest.raises(ConfigError, match="config rejected: .*'k'"):
         parse_config('{"K": 0, "T": 5, "method": "Static"}')
+    with pytest.raises(ConfigError, match="config key 'T' must be >= 1"):
+        parse_config('{"K": 4, "T": 0, "method": "Static"}')
     with pytest.raises(ConfigError, match="'q'"):
         parse_config('{"K": 4, "T": 5, "method": "QFedAvg", "q": -1.0}')
     with pytest.raises(ConfigError, match="'tilt'"):
         parse_config('{"K": 4, "T": 5, "method": "TERM", "tilt": 0.0}')
+    # Checked by key: ServerOptimizer would name it 'lr', the client step size's key.
+    with pytest.raises(ConfigError, match="config key 'server_lr' must be positive"):
+        parse_config('{"K": 4, "T": 5, "method": "Static", "server_lr": 0.0}')
 
 
 @pytest.mark.parametrize("value", [0.0, -0.5, 1.000001, 2.0, 1e200])
 def test_lr_decay_must_lie_in_the_unit_interval(value):
     # A decay above 1 grows the step size until lr_decay ** k overflows.
-    with pytest.raises(ConfigError, match="config key 'lr_decay' must lie in \\(0, 1\\]"):
+    with pytest.raises(ConfigError, match="config rejected: 'lr_decay' must lie in \\(0, 1\\]"):
         parse_config(json.dumps({"K": 4, "T": 5, "method": "Static", "lr_decay": value}))
     assert parse_config('{"K": 4, "T": 5, "method": "Static", "lr_decay": 1.0}').lr_decay == 1.0
 
@@ -260,9 +265,16 @@ def test_an_integer_too_long_to_read_is_a_config_error():
         ({"model": "MLP", "hidden": 0}, "hidden"),
         ({"method": "QFedAvg", "q": -0.5}, "q"),
         ({"method": "TERM", "tilt": -1.0}, "tilt"),
+        ({"B": 0}, "batch_size"),
+        ({"E": -1}, "epochs"),
+        ({"lr": 0.0}, "lr"),
+        ({"decay_step": 0}, "decay_step"),
+        ({"prox_mu": -0.1}, "prox_mu"),
+        ({"weight_decay": -0.1}, "weight_decay"),
     ],
     ids=["beta1", "beta2", "tau", "alpha", "classes_per_client", "cdf_scale", "cdf_shape",
-         "c1_not_below_c2", "input_dim", "num_classes", "hidden", "q", "tilt"],
+         "c1_not_below_c2", "input_dim", "num_classes", "hidden", "q", "tilt", "B", "E", "lr",
+         "decay_step", "prox_mu", "weight_decay"],
 )
 def test_library_ranges_are_checked_at_parse(extra, name):
     # Each value is checked by the library type that holds it, once, at parse
@@ -311,9 +323,9 @@ def test_build_state_wires_every_library_value(monkeypatch):
     assert (server.kind, server.lr, server.beta1, server.beta2, server.tau) == (
         ServerOptKind.ADAM, 0.2, 0.8, 0.95, 0.01
     )
-    scalars = (state.master_seed, state.sampling_c, state.epochs, state.batch_size, state.lr,
-               state.lr_decay, state.decay_step, state.prox_mu, state.weight_decay)
-    assert scalars == (5, 0.5, 2, 7, 0.05, 0.9, 4, 0.01, 0.02)
+    assert state.local_sgd == LocalSgd(epochs=2, batch_size=7, lr=0.05, lr_decay=0.9,
+                                       decay_step=4, prox_mu=0.01, weight_decay=0.02)
+    assert (state.master_seed, state.sampling_c) == (5, 0.5)
     assert (state.k, len(state.pool)) == (6, 300)
     assert state.params.shape == (state.model_spec.param_length,)
 

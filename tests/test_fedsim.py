@@ -25,11 +25,11 @@ from fairagg.aggregator import (
 )
 from fairagg.errors import DivergenceError, DomainError, InvalidDimensionError
 from fairagg.fedsim import (
+    LocalSgd,
     RoundReport,
     ServerOptKind,
     ServerOptimizer,
     SimulationState,
-    _effective_lr,
     client_update,
     run_round,
     sample_clients,
@@ -60,10 +60,13 @@ MLP = ModelSpec(ModelKind.MLP, input_dim=2, num_classes=3, hidden=4)
 
 
 def make_state(method_kind, clients, seed=0, **overrides):
-    """A state over ``clients``, a (pool, sizes) pair as ``partition`` returns."""
+    """A state over ``clients``, a (pool, sizes) pair as ``partition`` returns;
+    an override named after a ``LocalSgd`` field sets that field of ``local_sgd``."""
     spec = overrides.pop("model_spec", BINARY)
     pool, sizes = clients
     bounds = overrides.pop("bounds", None) or ResponseBounds.cross_silo(len(sizes))
+    sgd = {f.name: overrides.pop(f.name)
+           for f in dataclasses.fields(LocalSgd) if f.name in overrides}
     defaults = dict(
         master_seed=seed,
         model_spec=spec,
@@ -74,13 +77,7 @@ def make_state(method_kind, clients, seed=0, **overrides):
         cdf=CdfKind(CdfFamily.NORMAL),
         bounds=bounds,
         sampling_c=1.0,
-        epochs=1,
-        batch_size=20,
-        lr=0.1,
-        lr_decay=0.99,
-        decay_step=10,
-        prox_mu=0.0,
-        weight_decay=0.0,
+        local_sgd=LocalSgd(**sgd),
         server_opt=ServerOptimizer(),
     )
     defaults.update(overrides)
@@ -194,7 +191,9 @@ def update_one(params, data, spec, *, seed, **kwargs):
     """client_update on a single client, on the stream of ``default_rng(seed)``:
     its feedback, delta and diverged flag."""
     sizes = np.array([len(data)])
-    [delta], [diverged] = client_update(params, data, sizes, spec, entropy=[[seed]], **kwargs)
+    [delta], [diverged] = client_update(
+        params, data, sizes, spec, LocalSgd(**kwargs), 0, entropy=[[seed]]
+    )
     [feedback] = feedback_of(params, data, sizes, spec)
     return feedback, delta, diverged
 
@@ -351,34 +350,36 @@ def test_empty_shard_rejected():
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
     with pytest.raises(InvalidDimensionError):
         client_update(
-            np.zeros(3), empty, np.array([0]), BINARY, epochs=1, batch_size=1, lr=0.1,
-            prox_mu=0.0, weight_decay=0.0, entropy=[[0]],
+            np.zeros(3), empty, np.array([0]), BINARY,
+            LocalSgd(epochs=1, batch_size=1, lr=0.1, prox_mu=0.0, weight_decay=0.0), 0,
+            entropy=[[0]],
         )
 
 
 def test_sizes_must_cover_the_rows():
     data = make_synthetic(30, 2, 2, seed=1)
-    kwargs = dict(epochs=1, batch_size=10, lr=0.1, prox_mu=0.0, weight_decay=0.0)
+    sgd = LocalSgd(epochs=1, batch_size=10, lr=0.1, prox_mu=0.0, weight_decay=0.0)
     for sizes in ([10, 10], [10, 25], [30, 0], []):
         with pytest.raises(InvalidDimensionError):
-            client_update(np.zeros(3), data, np.array(sizes, dtype=int), BINARY,
-                          entropy=[], **kwargs)
+            client_update(np.zeros(3), data, np.array(sizes, dtype=int), BINARY, sgd, 0,
+                          entropy=[])
 
 
 def test_every_client_needs_an_entropy_row():
     data = make_synthetic(30, 2, 2, seed=1)
-    kwargs = dict(epochs=1, batch_size=10, lr=0.1, prox_mu=0.0, weight_decay=0.0)
+    sgd = LocalSgd(epochs=1, batch_size=10, lr=0.1, prox_mu=0.0, weight_decay=0.0)
     with pytest.raises(InvalidDimensionError, match="2 entropy rows for 3 clients"):
-        client_update(np.zeros(3), data, np.array([10, 10, 10]), BINARY,
-                      entropy=[[0], [1]], **kwargs)
+        client_update(np.zeros(3), data, np.array([10, 10, 10]), BINARY, sgd, 0,
+                      entropy=[[0], [1]])
 
 
 def test_zero_epochs_shuffle_no_client():
     data = make_synthetic(30, 2, 2, seed=1)
     # Client 1 has more rows than one minibatch, but no epoch to train.
     deltas, diverged = client_update(
-        np.zeros(3), data, np.array([5, 15, 10]), BINARY, epochs=0, batch_size=10, lr=0.1,
-        prox_mu=0.0, weight_decay=0.0, entropy=[[0], [1], [2]],
+        np.zeros(3), data, np.array([5, 15, 10]), BINARY,
+        LocalSgd(epochs=0, batch_size=10, lr=0.1, prox_mu=0.0, weight_decay=0.0), 0,
+        entropy=[[0], [1], [2]],
     )
     np.testing.assert_array_equal(deltas, np.zeros((3, 3)))
     assert not diverged.any()
@@ -402,17 +403,19 @@ def test_a_shuffling_client_walks_every_row_once_per_epoch(monkeypatch):
     # Row r of the one client carries feature r, so each minibatch names its rows.
     data = Dataset(np.arange(10.0)[:, None], np.zeros(10, dtype=np.int64))
     spec = ModelSpec(ModelKind.LOGISTIC, input_dim=1, num_classes=2)
-    kwargs = dict(lr=0.0, prox_mu=0.0, weight_decay=0.0, entropy=[[31]])
+    kwargs = dict(lr=0.1, prox_mu=0.0, weight_decay=0.0)
     seen = trained_batches(monkeypatch)
-    client_update(np.zeros(2), data, np.array([10]), spec, epochs=2, batch_size=3, **kwargs)
+    client_update(np.zeros(2), data, np.array([10]), spec,
+                  LocalSgd(epochs=2, batch_size=3, **kwargs), 0, entropy=[[31]])
     assert [sizes for _, sizes in seen] == [[3], [3], [3], [1]] * 2
     epochs = [np.concatenate([f[:, 0] for f, _ in seen[e:e + 4]]) for e in (0, 4)]
     for order in epochs:
         assert sorted(order.tolist()) == list(range(10))
     # Each epoch draws a fresh permutation.
     assert epochs[0].tolist() != epochs[1].tolist()
-    with pytest.raises(DomainError):
-        client_update(np.zeros(2), data, np.array([10]), spec, epochs=1, batch_size=0, **kwargs)
+    with pytest.raises(DomainError, match="'batch_size'"):
+        client_update(np.zeros(2), data, np.array([10]), spec,
+                      LocalSgd(epochs=1, batch_size=0, **kwargs), 0, entropy=[[31]])
 
 
 @pytest.mark.parametrize("epochs", [1, 3])
@@ -422,14 +425,11 @@ def test_a_one_minibatch_client_draws_nothing_from_its_generator(epochs):
     for batch_size in (12, 50):
         # Two different streams: a client that walks its rows in pool order
         # trains the same either way.
-        [delta], _ = client_update(
-            np.zeros(3), data, np.array([12]), BINARY, batch_size=batch_size, entropy=[[3]],
-            **kwargs
-        )
-        [other], _ = client_update(
-            np.zeros(3), data, np.array([12]), BINARY, batch_size=batch_size, entropy=[[4, 1]],
-            **kwargs
-        )
+        sgd = LocalSgd(batch_size=batch_size, **kwargs)
+        [delta], _ = client_update(np.zeros(3), data, np.array([12]), BINARY, sgd, 0,
+                                   entropy=[[3]])
+        [other], _ = client_update(np.zeros(3), data, np.array([12]), BINARY, sgd, 0,
+                                   entropy=[[4, 1]])
         assert np.any(delta != 0.0)
         assert delta.tobytes() == other.tobytes()
 
@@ -572,7 +572,9 @@ def stacked_and_reference(params, shards, spec, seed, **kwargs):
     bit for bit."""
     pool, sizes = pool_of(shards)
     entropy = [[seed, i] for i in range(len(shards))]
-    deltas, diverged = client_update(params, pool, sizes, spec, entropy=entropy, **kwargs)
+    deltas, diverged = client_update(
+        params, pool, sizes, spec, LocalSgd(**kwargs), 0, entropy=entropy
+    )
     expected, expected_diverged = three_mask_client_update(
         params, pool, sizes, spec, entropy=entropy, **kwargs
     )
@@ -634,8 +636,8 @@ def test_one_diverging_client_leaves_the_others_untouched():
     kept = [0, 2, 3]
     alone_pool, alone_sizes = pool_of([shards[i] for i in kept])
     alone_deltas, alone_diverged = client_update(
-        params, alone_pool, alone_sizes, TRI,
-        entropy=[[5, i] for i in kept], **kwargs,
+        params, alone_pool, alone_sizes, TRI, LocalSgd(**kwargs), 0,
+        entropy=[[5, i] for i in kept],
     )
     alone_feedback = feedback_of(params, alone_pool, alone_sizes, TRI)
     assert not alone_diverged.any()
@@ -699,10 +701,45 @@ def test_server_apply_validation():
 
 def test_learning_rate_decay_schedule():
     state = make_state(MethodKind.STATIC, shards_for(3), lr=0.1, lr_decay=0.5, decay_step=10)
-    assert _effective_lr(state, 0) == pytest.approx(0.1)
-    assert _effective_lr(state, 9) == pytest.approx(0.1)
-    assert _effective_lr(state, 10) == pytest.approx(0.05)
-    assert _effective_lr(state, 25) == pytest.approx(0.025)
+    sgd = state.local_sgd
+    assert sgd.lr_at(0) == pytest.approx(0.1)
+    assert sgd.lr_at(9) == pytest.approx(0.1)
+    assert sgd.lr_at(10) == pytest.approx(0.05)
+    assert sgd.lr_at(25) == pytest.approx(0.025)
+
+
+def test_client_update_steps_at_the_rounds_decayed_rate():
+    # 0.2 * 0.5 ** (3 // 2) is exactly 0.1, so round 3 steps as round 0 at 0.1.
+    data = make_synthetic(30, 2, 2, seed=8)
+    sizes = np.array([12, 18])
+    base = dict(epochs=2, batch_size=5, prox_mu=0.1, weight_decay=0.01)
+    decayed = client_update(np.zeros(3), data, sizes, BINARY,
+                            LocalSgd(lr=0.2, lr_decay=0.5, decay_step=2, **base), 3,
+                            entropy=[[1], [2]])
+    plain = client_update(np.zeros(3), data, sizes, BINARY, LocalSgd(lr=0.1, **base), 0,
+                          entropy=[[1], [2]])
+    assert decayed[0].tobytes() == plain[0].tobytes()
+    assert np.any(plain[0] != 0.0)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("epochs", -1), ("batch_size", 0), ("lr", 0.0), ("lr", -1.0), ("lr", math.nan),
+     ("lr_decay", 0.0), ("lr_decay", 1.5), ("lr_decay", 1e200), ("decay_step", 0),
+     ("prox_mu", -0.1), ("weight_decay", -0.1)],
+)
+def test_local_sgd_rejects_each_bound(name, value):
+    with pytest.raises(DomainError, match=f"'{name}'"):
+        LocalSgd(**{name: value})
+    # A state built in code can hold no such value either.
+    with pytest.raises(DomainError, match=f"'{name}'"):
+        make_state(MethodKind.STATIC, shards_for(3), **{name: value})
+
+
+def test_local_sgd_accepts_each_closed_bound():
+    sgd = LocalSgd(epochs=0, batch_size=1, lr_decay=1.0, decay_step=1, prox_mu=0.0,
+                   weight_decay=0.0)
+    assert (sgd.epochs, sgd.lr_decay) == (0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +797,9 @@ def test_all_clients_diverging_aborts_the_round():
     assert excinfo.value.round_index == 3
 
 
-def test_zero_learning_rate_freezes_the_model():
-    state = make_state(MethodKind.STATIC, shards_for(4), lr=0.0)
+def test_zero_epochs_freeze_the_model():
+    # A zero step size is out of range; zero epochs leave every client untrained.
+    state = make_state(MethodKind.STATIC, shards_for(4), epochs=0)
     first = run_round(state, 0)
     second = run_round(state, 1)
     third = run_round(state, 2)
@@ -950,8 +988,7 @@ def old_dispatch_round(state, t, ons, ftrl):
     )
     deltas, failed = client_update(
         state.params, *pool_of([shards[i] for i in sampled]), state.model_spec,
-        epochs=state.epochs, batch_size=state.batch_size, lr=_effective_lr(state, t),
-        prox_mu=state.prox_mu, weight_decay=state.weight_decay,
+        state.local_sgd, t,
         entropy=[[state.master_seed, fedsim._STREAM_CLIENT, t, i] for i in sampled],
     )
     mixed = np.isfinite(feedback) & ~failed
