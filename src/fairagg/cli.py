@@ -32,6 +32,7 @@ from .fedsim import (
     ServerOptimizer,
     SimulationState,
     run_round,
+    sample_size,
 )
 from .metrics import PerformanceSummary, cumulative_regret, regret_envelope
 from .modeldata import (
@@ -93,7 +94,7 @@ class ExperimentConfig:
     num_classes: int = 2
     hidden: int = ModelSpec.hidden
     num_samples: int = 2000
-    server_opt: str = "SGD"
+    server_opt: str = ServerOptimizer.kind.value
     server_lr: float = ServerOptimizer.lr
     beta1: float = ServerOptimizer.beta1
     beta2: float = ServerOptimizer.beta2
@@ -164,10 +165,11 @@ def parse_config(text: str) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     """The one gate for any config, parsed, overridden or built in code: a
     value no seed could run raises one ConfigError naming its key or library
-    parameter.  Keys must fit their field's type and choices.  ``T``, ``C``,
-    ``server_lr``, ``Explicit`` bounds and ``seeds`` are checked here; any other
-    range, by the value ``_config_values`` builds (``B`` as ``'batch_size'``).
-    Only ``num_samples`` and ``loss_ceiling`` wait for each seed's data."""
+    parameter.  Keys must fit their field's type and choices.  Only ``T``,
+    ``seeds`` and the ``Explicit`` keys are checked here; any other range, by
+    the library type that holds it, through ``_config_values`` (``C`` by
+    ``sample_size``, ``B`` as ``'batch_size'``).  The model's size,
+    ``num_samples`` and ``loss_ceiling`` alone wait for each seed's data."""
     for key, (annotation, hint) in _SCHEMA.items():
         value = getattr(cfg, key)
         if not _fits(hint, value):
@@ -177,11 +179,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"config key '{key}' must be one of: {allowed}")
     if cfg.T < 1:
         raise ConfigError("config key 'T' must be >= 1")
-    if not (0.0 < cfg.C <= 1.0):
-        raise ConfigError("config key 'C' must lie in (0, 1]")
-    # ServerOptimizer would name this value 'lr', the client step size's key.
-    if cfg.server_lr <= 0.0:
-        raise ConfigError("config key 'server_lr' must be positive")
     if cfg.bounds_mode == "Explicit" and (cfg.c1 is None or cfg.c2 is None):
         raise ConfigError("bounds_mode 'Explicit' requires config keys 'c1' and 'c2'")
     # Seeds feed numpy seed sequences, which take nonnegative integers only;
@@ -224,6 +221,7 @@ def _config_values(cfg: ExperimentConfig, seed: int) -> tuple[PartitionSpec, dic
     the library type that holds it, which raises FairaggError on a bad one."""
     split = PartitionSpec(scheme=PartitionScheme(cfg.partition), k=cfg.K, seed=seed,
                           alpha=cfg.alpha, classes_per_client=cfg.classes_per_client)
+    sample_size(cfg.K, cfg.C)  # C's one check, before CrossDevice bounds are built from it
     return split, dict(
         master_seed=seed,
         model_spec=ModelSpec(kind=ModelKind(cfg.model), input_dim=cfg.input_dim,

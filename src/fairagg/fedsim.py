@@ -101,7 +101,7 @@ class ServerOptimizer:
     def __post_init__(self):
         for name, value in (("lr", self.lr), ("tau", self.tau)):
             if value <= 0.0:
-                raise DomainError(f"'{name}' must be positive, got {value}")
+                raise DomainError(f"server optimizer '{name}' must be positive, got {value}")
         for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= value < 1.0:
                 raise DomainError(f"'{name}' must lie in [0, 1), got {value}")
@@ -145,7 +145,7 @@ def sample_size(k: int, c: float) -> int:
     if k < 1:
         raise InvalidDimensionError("need at least one client")
     if not (0.0 < c <= 1.0):
-        raise DomainError(f"sampling fraction must be in (0,1], got {c}")
+        raise DomainError(f"sampling fraction 'C' must lie in (0, 1], got {c}")
     return max(1, int(np.floor(round(c * k, 9))))
 
 
@@ -307,7 +307,8 @@ class SimulationState:
     optimizer: OnsState | FtrlState | None = field(init=False)
     # Each client's first row in the pool.
     starts: np.ndarray = field(init=False)
-    # Each client's chance of being sampled in a round.
+    # The propensity each round's response is completed at: for AAggFFD, each client's
+    # chance of being sampled; 1.0, which imputes the observed mean, for any other method.
     propensity: float = field(init=False)
     # Every pool row's logits, and a copy of the parameters they were
     # computed for; the evaluation that ends a round keeps them for that
@@ -323,7 +324,8 @@ class SimulationState:
         k = self.sizes.size
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.decision = uniform_decision(k)
-        self.propensity = sample_size(k, self.sampling_c) / k
+        fraction = sample_size(k, self.sampling_c) / k  # checks C for every method
+        self.propensity = fraction if self.method.kind is MethodKind.AAGGFF_D else 1.0
         self.optimizer = optimizer_init(self.method.kind, k, self.bounds, self.propensity)
 
     @property
@@ -365,9 +367,9 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
 
     Every sampled client trains, on the stream ``SeedSequence([seed, 4, t,
     client])``, which ``client_update`` seeds only for a client that shuffles.
-    AAggFFD takes the doubly-robust path exactly when ``state.propensity <
-    1``, the rule ``optimizer_init`` sizes FTRL by.  The report records who
-    was sampled and mixed, the scale, the propensity and the completed response.
+    The response is completed at ``state.propensity``, on the doubly-robust path
+    exactly when that is below 1, the rule ``optimizer_init`` sizes FTRL by.  The
+    report records who was sampled and mixed, the scale and the completed response.
     """
     k = state.k
     sampling_rng = np.random.default_rng(
@@ -410,10 +412,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
 
     prev_decision = state.decision
 
-    # AAggFFD corrects a partial round by its propensity; every other round
-    # is completed at propensity 1, which imputes the observed mean.
-    propensity = state.propensity if state.method.kind is MethodKind.AAGGFF_D else 1.0
-    r_for_loss = dr_response(scattered, observed, propensity)
+    r_for_loss = dr_response(scattered, observed, state.propensity)
     round_loss = decision_loss(prev_decision, r_for_loss)
 
     if state.optimizer is None:
@@ -422,7 +421,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
             state.method, state.sizes[survivors], feedback[mixed]
         )
     else:
-        if propensity < 1.0:
+        if state.propensity < 1.0:
             gradient = linearized_grad(r_for_loss, prev_decision, float(responses.mean()))
         else:
             gradient = decision_grad(prev_decision, r_for_loss)
@@ -446,7 +445,7 @@ def run_round(state: SimulationState, t: int) -> RoundReport:
         sampled=sampled,
         mixed=mixed,
         mean_feedback=float(feedback[mixed].mean()),
-        propensity=propensity,
+        propensity=state.propensity,
         response=r_for_loss,
         decision_loss=round_loss,
         decision=new_decision,

@@ -418,4 +418,7 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.nd
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """Small random initialization; symmetric zero init would stall the MLP."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    return 0.01 * rng.standard_normal(spec.param_length)
+    try:
+        return 0.01 * rng.standard_normal(spec.param_length)
+    except (MemoryError, ValueError) as exc:
+        raise DomainError(f"cannot allocate {spec.param_length} model parameters: {exc}") from exc

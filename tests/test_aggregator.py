@@ -541,16 +541,34 @@ def test_ftrl_regret_scaling_under_partial_feedback():
     assert per_round[2] < per_round[1] < per_round[0]
 
 
-@pytest.mark.parametrize("horizon", [100, 500, 2000])
-def test_regret_envelopes_separate_learners_from_uniform_on_one_best_client(horizon):
-    # Client 0 alone responds, with c2, in every round.  Unlike the rotating
-    # regret-bench stream, whose best fixed decision sits near uniform, this
-    # one fails a decision that never learns: uniform stays above both
-    # envelopes while both adaptive methods stay within their own.
-    k, c2 = 8, 1.0 / 8
-    l_inf = lipschitz_constants(ResponseBounds(0.0, c2), 1.0).l_inf
+def one_best_client_stream(horizon, k, c2):
+    """Client 0 alone responds, with c2, in every round."""
     responses = np.zeros((horizon, k))
     responses[:, 0] = c2
+    return responses
+
+
+def alternating_stream(horizon, k, c2):
+    """c2/2 on client 0 in round 0, then c2 on client 1 and on client 0 in
+    turn: the stream on which follow-the-leader has linear regret."""
+    responses = np.zeros((horizon, k))
+    responses[0, 0] = c2 / 2
+    responses[1::2, 1] = c2
+    responses[2::2, 0] = c2
+    return responses
+
+
+@pytest.mark.parametrize("horizon", [100, 500, 2000])
+@pytest.mark.parametrize("stream", [one_best_client_stream, alternating_stream],
+                         ids=["one_best_client", "alternating"])
+def test_regret_envelopes_separate_learners_from_uniform(stream, horizon):
+    # Unlike the rotating regret-bench stream, whose best fixed decision sits
+    # near uniform, each of these fails a decision that never learns: uniform
+    # stays above both envelopes while both adaptive methods stay within
+    # their own.  The alternating stream also punishes a leader-follower.
+    k, c2 = 8, 1.0 / 8
+    l_inf = lipschitz_constants(ResponseBounds(0.0, c2), 1.0).l_inf
+    responses = stream(horizon, k, c2)
     envelopes = {
         kind: regret_envelope(kind, k, horizon, l_inf)
         for kind in (MethodKind.AAGGFF_S, MethodKind.AAGGFF_D)

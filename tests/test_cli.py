@@ -162,8 +162,10 @@ def test_config_key_types_follow_the_dataclass(field):
 
 
 def test_range_violations_rejected():
-    with pytest.raises(ConfigError, match="'C'"):
-        parse_config('{"K": 4, "T": 5, "method": "Static", "C": 0.0}')
+    # CrossDevice bounds are built from C, which is checked first.
+    for extra in ('"C": 0.0', '"C": 1.5', '"C": 0.0, "bounds_mode": "CrossDevice"'):
+        with pytest.raises(ConfigError, match="config rejected: sampling fraction 'C' must lie"):
+            parse_config('{"K": 4, "T": 5, "method": "Static", ' + extra + "}")
     with pytest.raises(ConfigError, match="config rejected: .*'k'"):
         parse_config('{"K": 0, "T": 5, "method": "Static"}')
     with pytest.raises(ConfigError, match="config key 'T' must be >= 1"):
@@ -172,8 +174,8 @@ def test_range_violations_rejected():
         parse_config('{"K": 4, "T": 5, "method": "QFedAvg", "q": -1.0}')
     with pytest.raises(ConfigError, match="'tilt'"):
         parse_config('{"K": 4, "T": 5, "method": "TERM", "tilt": 0.0}')
-    # Checked by key: ServerOptimizer would name it 'lr', the client step size's key.
-    with pytest.raises(ConfigError, match="config key 'server_lr' must be positive"):
+    # ServerOptimizer names it as its own 'lr', apart from the client step size.
+    with pytest.raises(ConfigError, match="config rejected: server optimizer 'lr' must be positive"):
         parse_config('{"K": 4, "T": 5, "method": "Static", "server_lr": 0.0}')
 
 

@@ -156,11 +156,23 @@ def test_propensity_is_the_sampled_fraction():
         MethodKind.AAGGFF_D, shards_for(7, n=140), sampling_c=0.5,
         bounds=ResponseBounds.cross_silo(7),
     )
-    assert state.propensity == 3 / 7
     assert state.optimizer.l_inf_dr == lipschitz_constants(state.bounds, 3 / 7).l_inf_dr
-    assert run_round(state, 0).propensity == 3 / 7
     # Where c*k is a whole number the propensity is c itself, bit for bit.
     assert sample_size(1000, 0.02) / 1000 == 0.02
+
+
+@pytest.mark.parametrize("kind", list(MethodKind), ids=lambda k: k.value)
+def test_only_aaggffd_completes_rounds_at_the_sampled_fraction(kind):
+    # Every other method completes a round at propensity 1, which imputes the
+    # observed mean, whatever fraction of clients it samples.
+    expected = 3 / 7 if kind is MethodKind.AAGGFF_D else 1.0
+    clients = shards_for(7, n=140)
+    state = make_state(kind, clients, sampling_c=0.5, bounds=ResponseBounds.cross_silo(7))
+    assert state.propensity == expected
+    assert run_round(state, 0).propensity == expected
+    # Yet every method's state checks the sampling fraction when it is built.
+    with pytest.raises(DomainError, match="sampling fraction 'C' must lie in"):
+        make_state(kind, clients, sampling_c=0.0)
 
 
 # ---------------------------------------------------------------------------

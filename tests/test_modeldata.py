@@ -684,6 +684,12 @@ def test_init_params_deterministic_and_small():
     assert not np.array_equal(a, init_params(MLP, seed=3))
 
 
+def test_init_params_that_cannot_be_allocated_raise_domain_error():
+    # 2**50 hidden units need 5 * 2**50 + 2 parameters, which numpy refuses to allocate.
+    with pytest.raises(DomainError, match=f"cannot allocate {5 * 2**50 + 2} model"):
+        init_params(ModelSpec(ModelKind.MLP, 2, 2, hidden=2**50), 0)
+
+
 def test_model_spec_validation():
     with pytest.raises(DomainError):
         ModelSpec(ModelKind.LOGISTIC, input_dim=0, num_classes=2)
